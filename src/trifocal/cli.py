@@ -22,9 +22,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import pipeline, seeds, slices, tracker, witness
+from . import jsonio, pipeline, seeds, slices, tracker, witness
 
 DEFAULT_BUDGET = 200
 LOG_LEVELS = ("quiet", "info", "debug")
@@ -82,7 +80,7 @@ def _say(log, msg: str) -> None:
 
 def _load_json(path) -> dict:
     try:
-        return witness.parse_json(Path(path).read_bytes())
+        return jsonio.parse_json(Path(path).read_bytes())
     except FileNotFoundError:
         raise CliError(f"{path}: file not found")
     except json.JSONDecodeError as err:
@@ -107,7 +105,7 @@ def witness_content_hash(doc: dict) -> str:
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     """Return the cached degree when ``path`` already holds a valid build."""
     try:
-        doc = witness.parse_json(path.read_bytes())
+        doc = jsonio.parse_json(path.read_bytes())
     except (OSError, ValueError):
         _say(log, f"{path} is unreadable; rebuilding")
         return None
@@ -154,7 +152,7 @@ def cmd_witness(cfg: RunConfig) -> int:
     doc = witness.witness_to_dict(pws)
     doc["meta"]["content_hash"] = witness_content_hash(doc)
     doc["meta"]["run_config"] = cfg.to_dict()
-    witness.dump_json(out, doc)
+    jsonio.dump_json(out, doc)
     print(pws.meta["degree"])
     if not pws.certified:
         _say(log, f"trace test did not certify; uncertified set saved to {out}")
@@ -178,7 +176,7 @@ def cmd_trace_test(cfg: RunConfig) -> int:
         doc = witness.witness_to_dict(pws)
         doc["meta"]["content_hash"] = witness_content_hash(doc)
         doc["meta"]["run_config"] = cfg.to_dict()
-        witness.dump_json(cfg.witness_path, doc)
+        jsonio.dump_json(cfg.witness_path, doc)
         _say(log, f"marked {cfg.witness_path} certified")
     return 0 if result.passed else 1
 
@@ -233,7 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         "solution_" + "".join(map(str, run.weights.as_tuple())) + f"_seed{cfg.seed}.json"
     )
     doc = pipeline.solution_document(run, instance_meta={"run_config": cfg.to_dict()})
-    witness.dump_json(out, doc)
+    jsonio.dump_json(out, doc)
     _say(log, f"solution file saved to {out}")
     return 0
 
@@ -275,14 +273,6 @@ def cmd_table(cfg: RunConfig) -> int:
 # verification
 # ---------------------------------------------------------------------------
 
-def _complex_from_json(entry) -> np.ndarray:
-    """Accept an array stored either as plain reals or [re, im] pairs."""
-    a = np.asarray(entry, dtype=float)
-    if a.ndim >= 2 and a.shape[-1] == 2:
-        return a[..., 0] + 1j * a[..., 1]
-    return a.astype(complex)
-
-
 def _solution_records(doc: dict) -> list[pipeline.SolutionRecord]:
     if "solutions" in doc:
         entries = doc["solutions"]
@@ -293,13 +283,13 @@ def _solution_records(doc: dict) -> list[pipeline.SolutionRecord]:
     records = []
     for entry in entries:
         if "params" in entry:
-            records.append(pipeline.record_from_params(_complex_from_json(entry["params"])))
+            records.append(pipeline.record_from_params(jsonio.from_pairs(entry["params"])))
         else:
             cams = entry["camera_matrices"]
             records.append(
                 pipeline.record_from_cameras(
-                    _complex_from_json(cams["B"]).reshape(3, 4),
-                    _complex_from_json(cams["C"]).reshape(3, 4),
+                    jsonio.from_pairs(cams["B"]).reshape(3, 4),
+                    jsonio.from_pairs(cams["C"]).reshape(3, 4),
                 )
             )
     return records

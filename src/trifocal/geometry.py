@@ -23,9 +23,6 @@ from .numlin import RANK_RATIO
 if TYPE_CHECKING:  # pragma: no cover
     from .slices import Correspondence
 
-CORRESPONDENCE_KINDS = ("PPP", "PPL", "PLP", "LLL", "PLL")
-
-
 class DegenerateCameraError(ValueError):
     """Camera matrix is rank-deficient (no well-defined center)."""
 
@@ -45,24 +42,25 @@ def _as_camera(cam) -> np.ndarray:
 
 def camera_center(cam) -> np.ndarray:
     """Unit-normalized generator of the camera's kernel (its center in P^3)."""
-    a = _as_camera(cam)
-    if numlin.numerical_rank(a) < 3:
+    spec = numlin.svd(_as_camera(cam))
+    if numlin.rank_of_values(spec.values) < 3:
         raise DegenerateCameraError("camera is rank-deficient")
-    ker = numlin.nullspace(a)
-    return numlin.normalize_projective(ker[:, 0])
+    return numlin.normalize_projective(spec.right[3].conj())
+
+
+def _epipole(cam, center, other_center) -> np.ndarray:
+    if numlin.projective_distance(center, other_center) < 1e-10:
+        raise UndefinedEpipoleError("cameras share a center")
+    e = cam @ other_center
+    if np.linalg.norm(e) < 1e-12:
+        raise UndefinedEpipoleError("center of one camera lies in the other's kernel")
+    return numlin.normalize_projective(e)
 
 
 def epipole(frm, of) -> np.ndarray:
     """Image under ``frm`` of the center of ``of``, unit-normalized."""
-    a, b = _as_camera(frm), _as_camera(of)
-    c_from = camera_center(a)
-    c_of = camera_center(b)
-    if numlin.projective_distance(c_from, c_of) < 1e-10:
-        raise UndefinedEpipoleError("cameras share a center")
-    e = a @ c_of
-    if np.linalg.norm(e) < 1e-12:
-        raise UndefinedEpipoleError("center of one camera lies in the other's kernel")
-    return numlin.normalize_projective(e)
+    a = _as_camera(frm)
+    return _epipole(a, camera_center(a), camera_center(of))
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +452,13 @@ def multiview_residual(
 
 def all_epipoles(a, b, c) -> dict[tuple[int, int], np.ndarray]:
     """The six epipoles e[(i, j)] = image under camera i of center j."""
-    cams = (a, b, c)
+    cams = [_as_camera(cam) for cam in (a, b, c)]
+    centers = [camera_center(cam) for cam in cams]
     out = {}
     for i in range(3):
         for j in range(3):
             if i != j:
-                out[(i, j)] = epipole(cams[i], cams[j])
+                out[(i, j)] = _epipole(cams[i], centers[i], centers[j])
     return out
 
 

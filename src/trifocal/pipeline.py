@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, seeds, slices, tracker, witness
+from . import geometry, jsonio, seeds, slices, tracker, witness
 from .numlin import numerical_rank
 
 MEMBERSHIP_RTOL = 1e-7
@@ -198,35 +198,7 @@ def verify_solution(rec: SolutionRecord, instance, abs_tol=None, epipole_tol=EPI
 # solving one instance
 # ---------------------------------------------------------------------------
 
-def _dedup_mask(points: np.ndarray, tol: float) -> np.ndarray:
-    """First-wins mask of pairwise-distinct rows at normalized distance tol.
-
-    A coarse Gram-based distance prefilter finds candidate collisions; only
-    those pairs get exact difference norms (the Gram form cannot resolve
-    distances near tol itself).
-    """
-    n = points.shape[0]
-    keep = np.ones(n, dtype=bool)
-    if n < 2:
-        return keep
-    coarse_tol = max(1e4 * tol, 1e-4)
-    chunk = max(1, int(2**21 // n))
-    for j0 in range(0, n, chunk):
-        d = witness._cross_distances(points, points[j0 : j0 + chunk])
-        for jj in range(d.shape[1]):
-            j = j0 + jj
-            if not keep[j]:
-                continue
-            earlier = np.where(d[: j, jj] <= coarse_tol)[0]
-            earlier = earlier[keep[earlier]]
-            for i in earlier:
-                dist = np.linalg.norm(points[j] - points[i]) / (
-                    1.0 + np.linalg.norm(points[i])
-                )
-                if dist <= tol:
-                    keep[j] = False
-                    break
-    return keep
+_dedup_mask = witness.distinct_mask
 
 
 def solve_instance(
@@ -474,13 +446,6 @@ def record_from_cameras(b_cam, c_cam) -> SolutionRecord:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _complex_pairs(arr) -> list:
-    a = np.asarray(arr, dtype=complex)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [_complex_pairs(row) for row in a]
-
-
 def solution_document(run: ProblemRun, instance_meta: dict | None = None) -> dict:
     doc = {
         "problem": list(run.weights.as_tuple()),
@@ -493,12 +458,12 @@ def solution_document(run: ProblemRun, instance_meta: dict | None = None) -> dic
         "instance": slices.instance_to_dict(run.weights, run.seed, run.instance),
         "solutions": [
             {
-                "params": _complex_pairs(rec.params),
+                "params": jsonio.to_pairs(rec.params),
                 "camera_matrices": {
-                    "B": _complex_pairs(rec.configuration.cameras()[1]),
-                    "C": _complex_pairs(rec.configuration.cameras()[2]),
+                    "B": jsonio.to_pairs(rec.configuration.cameras()[1]),
+                    "C": jsonio.to_pairs(rec.configuration.cameras()[2]),
                 },
-                "tensor": _complex_pairs(rec.tensor.reshape(27)),
+                "tensor": jsonio.to_pairs(rec.tensor.reshape(27)),
                 "is_real": rec.is_real,
                 "residuals": {
                     "endpoint": rec.residuals.get("endpoint"),

@@ -25,14 +25,3 @@ def child_rng(seed: int, *labels: object) -> np.random.Generator:
     )
     ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
     return np.random.default_rng(ss)
-
-
-def unit_complex(rng: np.random.Generator) -> complex:
-    """Random unit-modulus complex number (for the gamma trick)."""
-    theta = rng.uniform(0.0, 2.0 * np.pi)
-    return complex(np.cos(theta), np.sin(theta))
-
-
-def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    """Standard complex Gaussian array."""
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)

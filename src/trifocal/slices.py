@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, numlin
+from . import geometry, jsonio, numlin
 from .seeds import child_rng
 
 KINDS = ("PPP", "PPL", "PLP", "LLL", "PLL")
@@ -249,20 +249,12 @@ def synthetic_consistent_instance(
 # instance files
 # ---------------------------------------------------------------------------
 
-def _vector_to_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v]
-
-
-def _vector_from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
-
-
 def instance_to_dict(w: ProblemWeights, seed: int, instance: list[Correspondence], meta: dict | None = None) -> dict:
     doc = {
         "problem": list(w.as_tuple()),
         "seed": int(seed),
         "correspondences": [
-            {"kind": c.kind, "vectors": [_vector_to_pairs(v) for v in c.vectors]}
+            {"kind": c.kind, "vectors": [jsonio.to_pairs(v) for v in c.vectors]}
             for c in instance
         ],
     }
@@ -276,7 +268,7 @@ def instance_from_dict(doc: dict) -> tuple[ProblemWeights, int, list[Corresponde
     corrs = [
         Correspondence(
             kind=entry["kind"],
-            vectors=tuple(_vector_from_pairs(p) for p in entry["vectors"]),
+            vectors=tuple(jsonio.from_pairs(p) for p in entry["vectors"]),
         )
         for entry in doc["correspondences"]
     ]
@@ -288,8 +280,8 @@ def instance_from_dict(doc: dict) -> tuple[ProblemWeights, int, list[Corresponde
 
 
 def save_instance(path, w: ProblemWeights, seed: int, instance: list[Correspondence], meta: dict | None = None) -> None:
-    Path(path).write_text(json.dumps(instance_to_dict(w, seed, instance, meta), indent=1, sort_keys=True) + "\n")
+    jsonio.dump_json(path, instance_to_dict(w, seed, instance, meta))
 
 
 def load_instance(path) -> tuple[ProblemWeights, int, list[Correspondence]]:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(jsonio.parse_json(Path(path).read_bytes()))

@@ -10,20 +10,19 @@ the tests can run low-degree curve oracles through the identical code paths.
 """
 from __future__ import annotations
 
-import gzip
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from . import geometry, seeds, tracker
+from . import geometry, jsonio, seeds, tracker
 
 DEDUP_TOL = 1e-8
 TRACE_TOL = 1e-6
 RESCUE_STEP = 1e-6  # largest relative Newton correction a trace rescue may make
 MEMBERSHIP_TOL = 1e-9
+NEAR_CUT = 1e-4  # prefilter distance below which `nearest` measures every candidate
 LOCI = ("cal", "01", "10", "00")
 
 
@@ -284,64 +283,91 @@ def membership_residuals(var: ParametrizedVariety, slc, points: np.ndarray) -> n
 
 
 def _cross_distances(points: np.ndarray, cands: np.ndarray) -> np.ndarray:
-    """(N, B) matrix of ||p_i - c_j|| / (1 + ||c_j||) via the Gram identity.
+    """(N, B) matrix of ||p_i - c_j|| / (1 + ||p_i||) via the Gram identity.
 
     Cancellation makes values below ~1e-7 unreliable, so callers must treat
     this as a coarse prefilter and confirm close pairs with exact
     difference norms.
     """
-    pn = np.einsum("ij,ij->i", points, points.conj()).real
-    cn = np.einsum("ij,ij->i", cands, cands.conj()).real
-    cross = (points @ cands.conj().T).real
-    sq = np.maximum(pn[:, None] + cn[None, :] - 2.0 * cross, 0.0)
-    return np.sqrt(sq) / (1.0 + np.sqrt(cn)[None, :])
+    # Viewed as interleaved (re, im) reals, one real product gives
+    # Re(p . conj(c)); the block is then updated in place, because it is
+    # the peak memory of every near-duplicate search.
+    pf = np.ascontiguousarray(points).view(float)
+    cf = np.ascontiguousarray(cands).view(float)
+    pn = np.einsum("ij,ij->i", pf, pf)
+    cn = np.einsum("ij,ij->i", cf, cf)
+    d = pf @ cf.T
+    d *= -2.0
+    d += pn[:, None]
+    d += cn[None, :]
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    d /= 1.0 + np.sqrt(pn)[:, None]
+    return d
 
 
-def _exact_min_distance(points: np.ndarray, cand: np.ndarray) -> float:
-    diffs = np.linalg.norm(points - cand[None, :], axis=1)
-    return float(diffs.min()) / (1.0 + float(np.linalg.norm(cand)))
+def nearest(rows: np.ndarray, against: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row to its nearest row of ``against`` (of the other
+    rows of ``rows`` when None), and that row's index.
+
+    The distance is ``||r - a|| / (1 + ||r||)``, normalized by the query row
+    ``r``.  A Gram prefilter in blocks of about 2**21 entries picks each
+    row's nearest candidate, whose distance is then measured exactly; a row
+    with several candidates below ``NEAR_CUT`` has all of them measured, so
+    every distance under the cut is exact.  A row with no candidate (empty
+    ``against``, or a single row) gets (inf, -1).
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    pool = rows if against is None else np.atleast_2d(np.asarray(against, dtype=complex))
+    n, m = rows.shape[0], pool.shape[0]
+    dist, index = np.full(n, np.inf), np.full(n, -1)
+    if m == 0 or (against is None and n < 2):
+        return dist, index
+    scale = 1.0 + np.linalg.norm(rows, axis=1)
+    chunk = max(1, 2**21 // m)
+    for lo in range(0, n, chunk):
+        block = rows[lo : lo + chunk]
+        cols = np.arange(block.shape[0])
+        d = _cross_distances(block, pool)
+        d[np.isnan(d)] = np.inf
+        if against is None:
+            d[cols, lo + cols] = np.inf
+        best = d.argmin(axis=1)
+        index[lo + cols] = best
+        dist[lo + cols] = np.linalg.norm(pool[best] - block, axis=1) / scale[lo + cols]
+        for j in np.where((d <= NEAR_CUT).sum(axis=1) > 1)[0]:
+            near = np.where(d[j] <= NEAR_CUT)[0]
+            exact = np.linalg.norm(pool[near] - block[j], axis=1) / scale[lo + j]
+            index[lo + j] = near[exact.argmin()]
+            dist[lo + j] = exact.min()
+    return dist, index
+
+
+def distinct_mask(rows: np.ndarray, tol: float) -> np.ndarray:
+    """First-wins mask: a row is dropped when an earlier kept row lies within
+    ``tol`` of it (distance as in ``nearest``).  Only rows with a neighbour
+    within ``tol`` enter the exact loop, so a chain A~B~C with A far from C
+    keeps A and C."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    keep = np.ones(rows.shape[0], dtype=bool)
+    scale = 1.0 + np.linalg.norm(rows, axis=1)
+    for j in np.where(nearest(rows)[0] <= tol)[0]:
+        close = np.linalg.norm(rows[:j] - rows[j], axis=1) / scale[j] <= tol
+        keep[j] = not keep[:j][close].any()
+    return keep
 
 
 def merge_points(existing: np.ndarray, new: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Append rows of ``new`` whose normalized distance to every kept point
-    exceeds ``tol``. Existing points keep their order and indices."""
+    """Append rows of ``new`` farther than ``tol`` from every existing point
+    and from every earlier appended row (distance as in ``nearest``).
+    Existing points keep their order and indices."""
     new = np.atleast_2d(np.asarray(new, dtype=complex))
     if existing is not None and len(existing):
         kept = np.atleast_2d(np.asarray(existing, dtype=complex))
+        new = new[nearest(new, kept)[0] > tol]
     else:
         kept = new[:0]
-    if new.shape[0] == 0:
-        return kept.copy()
-    coarse_tol = max(1e4 * tol, 1e-4)
-    if kept.shape[0]:
-        chunk = max(1, int(2**21 // max(kept.shape[0], 1)))
-        masks = []
-        for j0 in range(0, new.shape[0], chunk):
-            cands = new[j0 : j0 + chunk]
-            d = _cross_distances(kept, cands)
-            mask = d.min(axis=0) > coarse_tol
-            for j in np.where(~mask)[0]:
-                near = kept[d[:, j] <= coarse_tol]
-                mask[j] = _exact_min_distance(near, cands[j]) > tol
-            masks.append(mask)
-        fresh = new[np.concatenate(masks)]
-    else:
-        fresh = new
-    if fresh.shape[0] > 1:
-        d = _cross_distances(fresh, fresh)
-        keep_mask = np.ones(fresh.shape[0], dtype=bool)
-        for i in range(fresh.shape[0]):
-            if not keep_mask[i]:
-                continue
-            later = np.where((d[i] <= coarse_tol) & keep_mask)[0]
-            later = later[later > i]
-            for j in later:
-                if _exact_min_distance(fresh[i : i + 1], fresh[j]) <= tol:
-                    keep_mask[j] = False
-        fresh = fresh[keep_mask]
-    if not kept.shape[0]:
-        return fresh.copy()
-    return np.concatenate([kept, fresh], axis=0)
+    return np.concatenate([kept, new[distinct_mask(new, tol)]], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,24 +441,10 @@ def _chart_coordinates(var: ParametrizedVariety, img: np.ndarray) -> np.ndarray:
     return img / (img @ var.chart)[:, None]
 
 
-def _duplicated_rows(coords: np.ndarray, tol: float = DEDUP_TOL, chunk: int = 64) -> list[int]:
-    """Indices of rows that coincide with another row (relative max-norm)."""
-    n = coords.shape[0]
-    scale = 1.0 + np.abs(coords).max(axis=1)
-    hit = np.zeros(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = np.abs(coords[lo:hi, None, :] - coords[None, :, :]).max(axis=2)
-        close = d <= tol * np.maximum(scale[lo:hi, None], scale[None, :])
-        close[np.arange(hi - lo), np.arange(lo, hi)] = False
-        hit[lo:hi] |= close.any(axis=1)
-        hit |= close.any(axis=0)
-    return np.where(hit)[0].tolist()
-
-
 def _rescue(var, shifted, cand, failed) -> tuple[list[int], list[int]]:
     """Newton-polish failed endpoints in place under the guard of
-    ``run_trace_test``; returns (rescued indices, colliding indices)."""
+    ``run_trace_test`` (separation measured by ``nearest``); returns
+    (rescued indices, colliding indices)."""
     system = sliced_square_system(var, shifted)
     rescued, collided = [], []
     for i in failed:
@@ -444,9 +456,7 @@ def _rescue(var, shifted, cand, failed) -> tuple[list[int], list[int]]:
             and moved <= RESCUE_STEP * (1.0 + np.linalg.norm(polish.point))
         ):
             continue
-        others = np.delete(cand, i, axis=0)
-        scale = np.maximum(1.0 + np.abs(others).max(axis=1), 1.0 + np.abs(polish.point).max())
-        if (np.abs(others - polish.point).max(axis=1) <= DEDUP_TOL * scale).any():
+        if nearest(polish.point, np.delete(cand, i, axis=0))[0][0] <= DEDUP_TOL:
             collided.append(i)
             continue
         cand[i] = polish.point
@@ -483,18 +493,19 @@ def run_trace_test(
        polished by ``tracker.newton_refine`` on the translated slice's
        system.  The polished point replaces the endpoint only when Newton
        converges quadratically, the correction is at most ``RESCUE_STEP``
-       times (1 + |point|), and the point is separated from every other
-       endpoint of the leg by the relative max-norm test of
-       ``_duplicated_rows`` (tolerance ``DEDUP_TOL``).  A path that stalled
-       a whisker short of a regular endpoint passes; Newton from garbage
-       that settles on a neighbour's endpoint is refused.
+       times (1 + |point|), and no other endpoint of the leg lies within
+       ``DEDUP_TOL`` of the point, by the relative distance of ``nearest``.
+       A path that stalled a whisker short of a regular endpoint passes;
+       Newton from garbage that settles on a neighbour's endpoint is
+       refused.
     3. A leg with a path left failed is discarded; with ``rng`` it is rerun
        in full (three attempts in all), otherwise the test is inconclusive.
 
-    Every assembled leg also runs the global duplicate scan: re-tracks are
-    set-faithful but the per-path matching is only locally constant in the
-    phase, so a mixed assembly can hold one endpoint twice, and a collision
-    discards the leg like a failure does.
+    Every assembled leg also runs the global duplicate scan (an endpoint
+    whose ``nearest`` other endpoint lies within ``DEDUP_TOL``): re-tracks
+    are set-faithful but the per-path matching is only locally constant in
+    the phase, so a mixed assembly can hold one endpoint twice, and a
+    collision discards the leg like a failure does.
 
     ``detail`` lists the repairs of a conclusive test: ``re-tracked N
     path(s)``, ``rescued N path(s)`` (both counted over the two legs) and
@@ -547,7 +558,7 @@ def run_trace_test(
                     problem += f"; polishing {len(collided)} collides with another endpoint"
                 reruns += 1
                 continue
-            dup = _duplicated_rows(cand)
+            dup = np.where(nearest(cand)[0] <= DEDUP_TOL)[0].tolist()
             if dup:
                 problem = (
                     f"{len(dup)} path(s) share endpoints at s={s:+.0f} "
@@ -716,16 +727,10 @@ def check_witness(pws: PseudoWitnessSet) -> dict:
     res = membership_residuals(pws.variety, pws.slc, pws.points)
     imgs = _chart_coordinates(pws.variety, pws.variety.image(pws.points))
     n = imgs.shape[0]
-    min_dist = np.inf
-    for i in range(n):
-        d = np.linalg.norm(imgs[i + 1 :] - imgs[i][None, :], axis=1)
-        d = d / (1.0 + np.linalg.norm(imgs[i]))
-        if d.size:
-            min_dist = min(min_dist, float(d.min()))
     return {
         "count": int(n),
         "max_membership_residual": float(res.max()) if n else 0.0,
-        "min_image_distance": float(min_dist),
+        "min_image_distance": float(np.min(nearest(imgs)[0], initial=np.inf)),
         "certified": bool(pws.certified),
     }
 
@@ -734,28 +739,16 @@ def check_witness(pws: PseudoWitnessSet) -> dict:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _pairs(arr: np.ndarray) -> list:
-    a = np.asarray(arr, dtype=complex)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    return [_pairs(row) for row in a]
-
-
-def _unpairs(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
-    return (arr[..., 0] + 1j * arr[..., 1]).astype(complex)
-
-
 def witness_to_dict(pws: PseudoWitnessSet) -> dict:
     if pws.variety.chart is None:
         raise WitnessError("persistence is defined for chart-bearing varieties only")
     meta = dict(pws.meta)
-    meta["chart"] = _pairs(pws.variety.chart)
+    meta["chart"] = jsonio.to_pairs(pws.variety.chart)
     return {
-        "patches": {k: _pairs(v) for k, v in pws.patches.items()},
-        "slice_rows": _pairs(pws.slc.rows),
-        "slice_constants": _pairs(pws.slc.constants),
-        "points": _pairs(pws.points),
+        "patches": {k: jsonio.to_pairs(v) for k, v in pws.patches.items()},
+        "slice_rows": jsonio.to_pairs(pws.slc.rows),
+        "slice_constants": jsonio.to_pairs(pws.slc.constants),
+        "points": jsonio.to_pairs(pws.points),
         "certified": bool(pws.certified),
         "meta": meta,
     }
@@ -763,51 +756,29 @@ def witness_to_dict(pws: PseudoWitnessSet) -> dict:
 
 def witness_from_dict(doc: dict) -> PseudoWitnessSet:
     meta = dict(doc["meta"])
-    chart = _unpairs(meta.pop("chart"))
-    alpha = _unpairs(doc["patches"]["alpha"])
-    beta = _unpairs(doc["patches"]["beta"])
+    chart = jsonio.from_pairs(meta.pop("chart"))
+    alpha = jsonio.from_pairs(doc["patches"]["alpha"])
+    beta = jsonio.from_pairs(doc["patches"]["beta"])
     var = trifocal_variety(meta.get("locus", "cal"), alpha, beta, chart)
-    slc = WitnessSlice(_unpairs(doc["slice_rows"]), _unpairs(doc["slice_constants"]))
-    raw_points = doc["points"]
-    if raw_points:
-        points = np.atleast_2d(_unpairs(raw_points))
-    else:
-        points = np.zeros((0, var.param_dim), dtype=complex)
+    slc = WitnessSlice(
+        jsonio.from_pairs(doc["slice_rows"]), jsonio.from_pairs(doc["slice_constants"])
+    )
     return PseudoWitnessSet(
         variety=var,
         patches={"alpha": alpha, "beta": beta},
         slc=slc,
-        points=points,
+        points=jsonio.from_pairs(doc["points"]).reshape(-1, var.param_dim),
         certified=bool(doc["certified"]),
         meta=meta,
     )
 
 
-def dump_json(path, doc: dict) -> None:
-    """Write ``doc`` as indented, key-sorted JSON; gzipped when ``path`` ends
-    in ``.gz`` (mtime 0 and no stored name, so equal documents give equal
-    bytes)."""
-    blob = (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
-    if str(path).endswith(".gz"):
-        with open(path, "wb") as fh, gzip.GzipFile(fileobj=fh, mode="wb", mtime=0, filename="") as gz:
-            gz.write(blob)
-    else:
-        Path(path).write_bytes(blob)
-
-
-def parse_json(raw: bytes) -> dict:
-    """Parse a JSON document, gunzipping it first when it is gzipped."""
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    return json.loads(raw)
-
-
 def save_witness(path, pws: PseudoWitnessSet) -> None:
-    dump_json(path, witness_to_dict(pws))
+    jsonio.dump_json(path, witness_to_dict(pws))
 
 
 def load_witness(path) -> PseudoWitnessSet:
-    return witness_from_dict(parse_json(Path(path).read_bytes()))
+    return witness_from_dict(jsonio.parse_json(Path(path).read_bytes()))
 
 
 def bundled_witness(locus: str = "cal") -> PseudoWitnessSet:
@@ -818,4 +789,4 @@ def bundled_witness(locus: str = "cal") -> PseudoWitnessSet:
     ref = resources.files("trifocal.data").joinpath(f"witness_{locus}.json.gz")
     if not ref.is_file():
         raise WitnessError(f"no bundled witness for locus {locus!r}")
-    return witness_from_dict(parse_json(ref.read_bytes()))
+    return witness_from_dict(jsonio.parse_json(ref.read_bytes()))

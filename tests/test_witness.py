@@ -418,6 +418,69 @@ def test_merge_points_empty_new_batch():
     assert np.array_equal(witness.merge_points(a, np.zeros((0, 3))), a)
 
 
+def _brute_nearest(rows, against):
+    d = np.linalg.norm(rows[:, None, :] - against[None, :, :], axis=2)
+    return d / (1.0 + np.linalg.norm(rows, axis=1))[:, None]
+
+
+def test_nearest_matches_brute_force_across_blocks():
+    # 1500 rows span two prefilter blocks; planted clusters put several
+    # candidates under NEAR_CUT, and one pair sits far below the Gram
+    # prefilter's resolution
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(1500, 3)) + 1j * rng.normal(size=(1500, 3))
+    rows[1] = rows[0] + 1e-12
+    rows[3] = rows[2] + 2e-6
+    rows[4] = rows[2] - 3e-6
+    rows[5] = rows[2] + 5e-5j
+    dist, index = witness.nearest(rows)
+    brute = _brute_nearest(rows, rows)
+    np.fill_diagonal(brute, np.inf)
+    assert np.array_equal(index, brute.argmin(axis=1))
+    assert np.allclose(dist, brute.min(axis=1), rtol=1e-12, atol=0)
+    assert index[0] == 1 and dist[0] < 1e-11
+
+    against = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
+    against[7] = rows[9] * (1 + 1e-9)
+    dist, index = witness.nearest(rows[:20], against)
+    brute = _brute_nearest(rows[:20], against)
+    assert np.array_equal(index, brute.argmin(axis=1))
+    assert np.allclose(dist, brute.min(axis=1), rtol=1e-12, atol=0)
+    assert index[9] == 7
+
+
+@pytest.mark.parametrize("tol", [witness.DEDUP_TOL, 1e-6, 1e-3])
+def test_nearest_and_distinct_mask_at_the_tolerance(tol):
+    row = np.array([[1.0 + 2.0j, -0.5, 3.0]])
+    step = np.array([[1.0, 0.0, 0.0]]) * (1.0 + np.linalg.norm(row))  # query-row scale
+    inside, outside = row + 0.99 * tol * step, row + 1.01 * tol * step
+    assert witness.nearest(inside, row)[0][0] <= tol
+    assert witness.nearest(outside, row)[0][0] > tol
+    assert witness.distinct_mask(np.vstack([row, inside]), tol).tolist() == [True, False]
+    assert witness.distinct_mask(np.vstack([row, outside]), tol).tolist() == [True, True]
+
+
+def test_distinct_mask_chain_keeps_first_and_far_end():
+    # A~B and B~C but A and C are apart: B goes, C stays because its only
+    # close earlier row was dropped
+    tol = 1e-6
+    a = np.array([2.0 + 0j, 0.0])
+    step = np.array([0.6 * tol * (1.0 + np.linalg.norm(a)), 0.0])
+    rows = np.array([a, a + step, a + 2 * step])
+    assert witness.distinct_mask(rows, tol).tolist() == [True, False, True]
+    assert witness.distinct_mask(rows[[1, 0, 2]], tol).tolist() == [True, False, False]
+
+
+def test_nearest_without_candidates():
+    one = np.array([[1.0 + 1j, 2.0]])
+    dist, index = witness.nearest(one)
+    assert dist.tolist() == [np.inf] and index.tolist() == [-1]
+    assert witness.distinct_mask(one, 1e-8).tolist() == [True]
+    dist, index = witness.nearest(np.ones((3, 2)), np.zeros((0, 2)))
+    assert np.isinf(dist).all() and (index == -1).all()
+    assert witness.merge_points(None, np.zeros((0, 2))).shape == (0, 2)
+
+
 # ---------------------------------------------------------------------------
 # the calibrated camera-triple loci
 # ---------------------------------------------------------------------------
