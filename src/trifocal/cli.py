@@ -306,7 +306,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             _, _, instance = slices.instance_from_dict(doc["instance"])
         else:
             raise CliError("no --instance given and the solution file embeds none")
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, pipeline.PipelineError) as err:
         raise CliError(f"{cfg.solution_path}: malformed ({err!r})")
     checks = ("physical", "independent_centers", "multiview", "epipole_clear")
     tallies = {name: 0 for name in checks}

@@ -450,10 +450,12 @@ def multiview_residual(
     raise ValueError(f"unknown correspondence kind {kind!r}")
 
 
-def all_epipoles(a, b, c) -> dict[tuple[int, int], np.ndarray]:
-    """The six epipoles e[(i, j)] = image under camera i of center j."""
+def all_epipoles(a, b, c, centers=None) -> dict[tuple[int, int], np.ndarray]:
+    """The six epipoles e[(i, j)] = image under camera i of center j
+    (``centers``: the cameras' ``camera_center``s, when already known)."""
     cams = [_as_camera(cam) for cam in (a, b, c)]
-    centers = [camera_center(cam) for cam in cams]
+    if centers is None:
+        centers = [camera_center(cam) for cam in cams]
     out = {}
     for i in range(3):
         for j in range(3):

@@ -5,12 +5,14 @@ the instance's constraint slice. The witness set is moved to an 11-row
 randomization of that slice; endpoints are then sifted — membership in the
 full constraint span, physical (non-isotropic) quaternions, independent
 centers, the multi-view rank conditions, epipole avoidance, dedup — and the
-survivors are the solutions. Counts at every stage are reported so a run
-can be audited after the fact.
+survivors are the solutions. One pass screens each endpoint through stages
+1-5; its verdict names the first stage it fails (or ``"solution"``), and the
+survivor count of every stage is read off the verdict vector, so a run can
+be audited after the fact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -146,28 +148,31 @@ def _physicality(params, tol: float = PHYSICALITY_TOL) -> bool:
     return True
 
 
-def _independent_centers(cams) -> bool:
+def _centers(cams) -> list[np.ndarray] | None:
+    """The three camera centers, or None when they are linearly dependent or
+    a camera is degenerate."""
     try:
-        centers = np.column_stack([geometry.camera_center(cam) for cam in cams])
+        centers = [geometry.camera_center(cam) for cam in cams]
     except geometry.DegenerateCameraError:
-        return False
-    return numerical_rank(centers) == 3
+        return None
+    return centers if numerical_rank(np.column_stack(centers)) == 3 else None
 
 
-def _multiview_all(cams, instance, abs_tol=None) -> tuple[bool, list[geometry.MultiviewReport]]:
+def _independent_centers(cams) -> bool:
+    return _centers(cams) is not None
+
+
+def _multiview_all(cams, instance, abs_tol=None) -> bool:
     a, b, c = cams
-    reports = []
-    for corr in instance:
-        rep = geometry.multiview_residual(corr.kind, a, b, c, corr, abs_tol=abs_tol)
-        reports.append(rep)
-        if not rep.passed:
-            return False, reports
-    return True, reports
+    return all(
+        geometry.multiview_residual(corr.kind, a, b, c, corr, abs_tol=abs_tol).passed
+        for corr in instance
+    )
 
 
-def _epipole_clear(cams, instance, tol: float = EPIPOLE_TOL) -> bool:
+def _epipole_clear(cams, centers, instance, tol: float = EPIPOLE_TOL) -> bool:
     try:
-        eps = geometry.all_epipoles(*cams)
+        eps = geometry.all_epipoles(*cams, centers=centers)
     except geometry.UndefinedEpipoleError:
         return False
     return all(geometry.epipole_clearance(corr, eps) > tol for corr in instance)
@@ -181,15 +186,13 @@ def verify_solution(rec: SolutionRecord, instance, abs_tol=None, epipole_tol=EPI
     entries carry only a couple of decimals).
     """
     cams = rec.configuration.cameras()
-    verdict = {"physical": _physicality(rec.params)}
-    verdict["independent_centers"] = _independent_centers(cams)
-    if verdict["independent_centers"]:
-        ok, _ = _multiview_all(cams, instance, abs_tol=abs_tol)
-        verdict["multiview"] = ok
-        verdict["epipole_clear"] = _epipole_clear(cams, instance, tol=epipole_tol)
-    else:
-        verdict["multiview"] = False
-        verdict["epipole_clear"] = False
+    centers = _centers(cams)
+    independent = centers is not None
+    verdict = {"physical": _physicality(rec.params), "independent_centers": independent}
+    verdict["multiview"] = independent and _multiview_all(cams, instance, abs_tol=abs_tol)
+    verdict["epipole_clear"] = independent and _epipole_clear(
+        cams, centers, instance, epipole_tol
+    )
     verdict["all"] = all(verdict.values())
     return verdict
 
@@ -199,6 +202,28 @@ def verify_solution(rec: SolutionRecord, instance, abs_tol=None, epipole_tol=EPI
 # ---------------------------------------------------------------------------
 
 _dedup_mask = witness.distinct_mask
+
+
+def _screen(point, norm_rows, instance) -> tuple[str, float]:
+    """Stages 1-5 on one finite endpoint: the verdict of the first stage it
+    fails, or ``"solution"``, and its membership residual (the largest
+    |row . tensor| over the unit rows of the full constraint span, relative
+    to the tensor's norm)."""
+    t = geometry.tensor_from_params(point)
+    rel = float(np.abs(norm_rows @ t).max() / np.linalg.norm(t))
+    if not rel <= MEMBERSHIP_RTOL:
+        return "outside-special", rel
+    if not _physicality(point):
+        return "nonphysical", rel
+    cams = geometry.CalibratedConfiguration.from_params(point).cameras()
+    centers = _centers(cams)
+    if centers is None:
+        return "dependent-centers", rel
+    if not _multiview_all(cams, instance):
+        return "multiview-fail", rel
+    if not _epipole_clear(cams, centers, instance):
+        return "epipole-hit", rel
+    return "solution", rel
 
 
 def solve_instance(
@@ -216,6 +241,10 @@ def solve_instance(
     endgame finished) enter stage ``finite``; every other path counts as
     failed.  Raises ReliabilityError when more than ``failure_budget`` of
     the paths fail; the caller should re-randomize and retry.
+
+    Each endpoint's verdict names the first stage it fails (``VERDICTS``
+    lists them in stage order), so the count that survives stage k is the
+    number of verdicts after ``VERDICTS[k]``.
     """
     if not pws.certified:
         raise PipelineError("instance solving requires a certified witness set")
@@ -233,105 +262,33 @@ def solve_instance(
             "re-run with a fresh randomization seed"
         )
 
-    verdicts = ["path-failed"] * total
-    finite_idx = [i for i, e in enumerate(endpoints) if e.finite]
-    counts = [len(finite_idx)]
-
-    # stage 1: membership in the full constraint span, relative to row and
-    # tensor magnitudes
     row_norms = np.linalg.norm(special.rows, axis=1)
     norm_rows = special.rows / row_norms[:, None]
-    survivors = []
-    for i in finite_idx:
-        t = geometry.tensor_from_params(endpoints[i].point)
-        rel = np.abs(norm_rows @ t).max() / np.linalg.norm(t)
-        if rel <= MEMBERSHIP_RTOL:
-            survivors.append(i)
-        else:
-            verdicts[i] = "outside-special"
-    counts.append(len(survivors))
+    screened = [
+        _screen(e.point, norm_rows, instance) if e.finite else ("path-failed", None)
+        for e in endpoints
+    ]
+    verdicts = [v for v, _ in screened]
 
-    # stage 2: physical quaternions
-    keep = []
-    for i in survivors:
-        if _physicality(endpoints[i].point):
-            keep.append(i)
-        else:
-            verdicts[i] = "nonphysical"
-    survivors = keep
-    counts.append(len(survivors))
+    # stage 6: distinct configurations, the first in index order wins
+    found = [i for i, v in enumerate(verdicts) if v == "solution"]
+    if found:
+        mask = _dedup_mask(np.array([endpoints[i].point for i in found]), SOLUTION_DEDUP_TOL)
+        for i in np.asarray(found)[~mask]:
+            verdicts[i] = "duplicate"
 
-    # stage 3: linearly independent centers
-    keep = []
-    cams_cache: dict[int, tuple] = {}
-    for i in survivors:
-        config = geometry.CalibratedConfiguration.from_params(endpoints[i].point)
-        cams = config.cameras()
-        cams_cache[i] = (config, cams)
-        if _independent_centers(cams):
-            keep.append(i)
-        else:
-            verdicts[i] = "dependent-centers"
-    survivors = keep
-    counts.append(len(survivors))
-
-    # stage 4: multi-view rank conditions for every correspondence
-    keep = []
-    multiview_reports: dict[int, list] = {}
-    for i in survivors:
-        ok, reports = _multiview_all(cams_cache[i][1], instance)
-        multiview_reports[i] = reports
-        if ok:
-            keep.append(i)
-        else:
-            verdicts[i] = "multiview-fail"
-    survivors = keep
-    counts.append(len(survivors))
-
-    # stage 5: correspondences clear of all epipoles
-    keep = []
-    for i in survivors:
-        if _epipole_clear(cams_cache[i][1], instance):
-            keep.append(i)
-        else:
-            verdicts[i] = "epipole-hit"
-    survivors = keep
-    counts.append(len(survivors))
-
-    # stage 6: distinct configurations
-    if survivors:
-        pts = np.array([endpoints[i].point for i in survivors])
-        mask = _dedup_mask(pts, SOLUTION_DEDUP_TOL)
-        for i, keep_it in zip(survivors, mask):
-            if not keep_it:
-                verdicts[i] = "duplicate"
-        survivors = [i for i, keep_it in zip(survivors, mask) if keep_it]
-    counts.append(len(survivors))
-
-    records = []
-    for i in survivors:
-        verdicts[i] = "solution"
-        config, cams = cams_cache[i]
-        point = endpoints[i].point
-        tensor_flat = geometry.tensor_from_params(point)
-        records.append(
-            SolutionRecord(
-                params=point,
-                configuration=config,
-                tensor=tensor_flat.reshape(3, 3, 3),
-                residuals={
-                    "endpoint": endpoints[i].residual,
-                    "membership": float(
-                        np.abs(norm_rows @ tensor_flat).max() / np.linalg.norm(tensor_flat)
-                    ),
-                    "multiview_drop": [r.drop_ratio for r in multiview_reports[i]],
-                },
-                is_real=_params_are_real(point),
-            )
+    records = [
+        replace(
+            record_from_params(endpoints[i].point),
+            residuals={"endpoint": endpoints[i].residual, "membership": screened[i][1]},
         )
-
+        for i, v in enumerate(verdicts)
+        if v == "solution"
+    ]
+    ranks = [VERDICTS.index(v) for v in verdicts]
+    counts = tuple(sum(r > k for r in ranks) for k in range(len(STAGES)))
     report = FilterReport(
-        total_paths=total, stage_counts=tuple(counts), verdicts=tuple(verdicts)
+        total_paths=total, stage_counts=counts, verdicts=tuple(verdicts)
     )
     return records, report
 
@@ -432,14 +389,7 @@ def record_from_cameras(b_cam, c_cam) -> SolutionRecord:
     q3 = geometry.quaternion_from_rotation(c[:, :3])
     t2 = np.array([b[0, 3], b[1, 3], 1.0 + 0j])
     config = geometry.CalibratedConfiguration(q2=q2, q3=q3, t2=t2, t3=c[:, 3])
-    params = config.params
-    return SolutionRecord(
-        params=params,
-        configuration=config,
-        tensor=geometry.tensor_from_params(params).reshape(3, 3, 3),
-        residuals={},
-        is_real=_params_are_real(params),
-    )
+    return record_from_params(config.params)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +410,8 @@ def solution_document(run: ProblemRun, instance_meta: dict | None = None) -> dic
             {
                 "params": jsonio.to_pairs(rec.params),
                 "camera_matrices": {
-                    "B": jsonio.to_pairs(rec.configuration.cameras()[1]),
-                    "C": jsonio.to_pairs(rec.configuration.cameras()[2]),
+                    "B": jsonio.to_pairs(b),
+                    "C": jsonio.to_pairs(c),
                 },
                 "tensor": jsonio.to_pairs(rec.tensor.reshape(27)),
                 "is_real": rec.is_real,
@@ -471,6 +421,7 @@ def solution_document(run: ProblemRun, instance_meta: dict | None = None) -> dic
                 },
             }
             for rec in run.records
+            for _, b, c in [rec.configuration.cameras()]
         ],
     }
     if instance_meta:

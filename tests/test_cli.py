@@ -222,6 +222,23 @@ def test_verify_parse_error_reports_location(tmp_path, capsys):
     assert f"{bad}:1:" in capsys.readouterr().err
 
 
+def test_verify_unusable_camera_chart_is_malformed(tmp_path, capsys):
+    doc = json.loads(data_path("reference_solution.json").read_text())
+    doc["camera_matrices"]["B"][2][3] = 0
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(doc))
+    rc = cli.main(
+        [
+            "verify",
+            "--solution", str(sol),
+            "--instance", str(data_path("reference_instance.json")),
+            "--log", "quiet",
+        ]
+    )
+    assert rc == 1
+    assert f"error: {sol}: malformed (" in capsys.readouterr().err
+
+
 def test_verify_without_instance_fails(tmp_path):
     sol = tmp_path / "sol.json"
     sol.write_text(json.dumps({"solutions": []}))

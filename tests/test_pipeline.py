@@ -1,5 +1,6 @@
 """Tests for instance solving and the endpoint filter ladder."""
 import json
+import types
 from importlib import resources
 
 import numpy as np
@@ -192,6 +193,38 @@ def test_solve_requires_certified_witness():
     )
     with pytest.raises(pipeline.PipelineError):
         pipeline.solve_instance(pws, [])
+
+
+def test_solve_instance_screens_each_endpoint_once(monkeypatch):
+    """The filter's bookkeeping without tracking: stand-in endpoints for a
+    failed path, a configuration outside the instance's span, and the planted
+    solution found twice."""
+    cfg = real_config("screen")
+    instance = slices.synthetic_consistent_instance(
+        cfg, slices.ProblemWeights(1, 4, 0, 0, 0), seed=3
+    )
+
+    def endpoint(params, status=tracker.SUCCESS):
+        return tracker.TrackedEndpoint(
+            point=params, status=status, residual=1e-15, contraction=0.0,
+            steps=1, winding=1 if status == tracker.SUCCESS else 0,
+        )
+
+    endpoints = [
+        endpoint(np.full(13, np.nan + 0j), tracker.DIVERGED),
+        endpoint(real_config("stray").params),
+        endpoint(cfg.params.copy()),
+        endpoint(cfg.params.copy()),
+    ]
+    monkeypatch.setattr(witness, "move_to_slice", lambda pws, target, cfg=None: endpoints)
+    stand_in = types.SimpleNamespace(certified=True)
+    records, report = pipeline.solve_instance(stand_in, instance, failure_budget=1.0)
+    assert report.verdicts == ("path-failed", "outside-special", "solution", "duplicate")
+    assert report.stage_counts == (3, 2, 2, 2, 2, 2, 1)
+    assert len(records) == 1
+    assert np.array_equal(records[0].params, cfg.params)
+    assert set(records[0].residuals) == {"endpoint", "membership"}
+    assert records[0].residuals["membership"] <= pipeline.MEMBERSHIP_RTOL
 
 
 def test_solve_problem_retries_after_reliability_failure(monkeypatch):
