@@ -57,10 +57,7 @@ class RunConfig:
         return d
 
     def tracker_config(self) -> tracker.TrackerConfig:
-        try:
-            return tracker.TrackerConfig(width=self.width)
-        except ValueError as err:
-            raise CliError(f"--width: {err}")
+        return tracker.TrackerConfig(width=self.width)
 
 
 def _logger(cfg: RunConfig):
@@ -342,6 +339,15 @@ def _problem_arg(text: str) -> tuple[int, ...]:
     return parts
 
 
+def _at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trifocal",
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    common.add_argument("--width", type=int, default=0,
+    common.add_argument("--width", type=_at_least(0), default=0,
                         help="paths tracked in lockstep per chunk (0 = all at once)")
     common.add_argument("--log", choices=LOG_LEVELS, default="info", help="stderr verbosity")
     common.add_argument("--out", dest="out_path", default=None, help="output file path")
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", parents=[common], help="build and certify a witness set")
     p.add_argument("--locus", choices=witness.LOCI, default="cal")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="monodromy loop budget")
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET, help="monodromy loop budget")
     p.add_argument("--force", action="store_true", help="rebuild even when a valid file exists")
 
     p = sub.add_parser("solve", parents=[common], help="solve one minimal problem")
@@ -373,12 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated weights, e.g. 1,4,0,0,0")
     p.add_argument("--instance", dest="instance_path", default=None,
                    help="solve this stored instance instead of a random one")
-    p.add_argument("--max-attempts", type=int, default=3)
+    p.add_argument("--max-attempts", type=_at_least(1), default=3)
 
     p = sub.add_parser("table", parents=[common], help="tabulate all minimal-problem degrees")
     p.add_argument("--witness", dest="witness_path", required=True)
-    p.add_argument("--rows", type=int, default=None, help="only the first N problems")
-    p.add_argument("--max-attempts", type=int, default=3)
+    p.add_argument("--rows", type=_at_least(0), default=None, help="only the first N problems")
+    p.add_argument("--max-attempts", type=_at_least(1), default=3)
 
     p = sub.add_parser("verify", parents=[common], help="re-check a solution file")
     p.add_argument("--solution", dest="solution_path", required=True)

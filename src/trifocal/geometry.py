@@ -83,25 +83,22 @@ def _rotations(q: np.ndarray) -> np.ndarray:
     return r
 
 
+# Polarization: _rotations(q) = sum_mn q_m q_n K[m, n] with K symmetric, so
+# 2K[m, n] = R(e_m + e_n) - R(e_m) - R(e_n) for the unit vectors e, and
+# dR/dq_m = 2 sum_n K[m, n] q_n is q @ (2K as 4 x 36) in the (..., 4, 3, 3) layout
+_UNIT = _rotations(np.eye(4))
+_ROTATION_DERIVATIVE = (
+    _rotations(np.eye(4)[:, None] + np.eye(4)[None, :]) - _UNIT[:, None] - _UNIT[None, :]
+).real.reshape(4, 36)
+
+
 def _rotation_derivatives(q: np.ndarray) -> np.ndarray:
     """Partials of _rotations w.r.t. the four quaternion coordinates.
 
     Returns shape (..., 4, 3, 3): index m is the derivative in q_m. The
     Euler identity R = (1/2) sum_m q_m dR/dq_m holds since R is quadratic.
     """
-    a, b, c, d = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (4, 3, 3), dtype=complex)
-
-    def put(m, rows):
-        for i in range(3):
-            for j in range(3):
-                out[..., m, i, j] = 2 * rows[i][j]
-
-    put(0, [[a, -d, c], [d, a, -b], [-c, b, a]])
-    put(1, [[b, c, d], [c, -b, -a], [d, a, -b]])
-    put(2, [[-c, b, a], [b, c, d], [-a, d, -c]])
-    put(3, [[-d, -a, b], [a, -d, c], [b, c, d]])
-    return out
+    return (q @ _ROTATION_DERIVATIVE).reshape(q.shape[:-1] + (4, 3, 3))
 
 
 def quaternion_rotation(q) -> np.ndarray:
@@ -266,6 +263,18 @@ def random_configuration(rng: np.random.Generator, real: bool = False) -> Calibr
     return CalibratedConfiguration(q2=q2, q3=q3, t2=t2, t3=t3)
 
 
+def _unpack(p: np.ndarray):
+    """(params as a (B, 13) stack, whether the input was 1-D, q2, q3, t2, t3)
+    with t2 completed by its fixed last coordinate 1."""
+    pp = np.asarray(p, dtype=complex)
+    squeeze = pp.ndim == 1
+    if squeeze:
+        pp = pp[None]
+    ones = np.ones(pp.shape[:-1] + (1,), dtype=complex)
+    t2 = np.concatenate([pp[..., 8:10], ones], axis=-1)
+    return pp, squeeze, pp[..., 0:4], pp[..., 4:8], t2, pp[..., 10:13]
+
+
 def tensor_from_params(p: np.ndarray) -> np.ndarray:
     """Batched parametrization map: (..., 13) parameters -> (..., 27) tensors.
 
@@ -273,14 +282,8 @@ def tensor_from_params(p: np.ndarray) -> np.ndarray:
     T[i, j, k] = R2[j, i] t3[k] - t2[j] R3[k, i], cubic in the parameters.
     Flattening is row-major over (i, j, k).
     """
-    pp = np.asarray(p, dtype=complex)
-    squeeze = pp.ndim == 1
-    if squeeze:
-        pp = pp[None]
-    r2 = _rotations(pp[..., 0:4])
-    r3 = _rotations(pp[..., 4:8])
-    t2 = np.concatenate([pp[..., 8:10], np.ones(pp.shape[:-1] + (1,), dtype=complex)], axis=-1)
-    t3 = pp[..., 10:13]
+    pp, squeeze, q2, q3, t2, t3 = _unpack(p)
+    r2, r3 = _rotations(q2), _rotations(q3)
     t = np.einsum("...ji,...k->...ijk", r2, t3) - np.einsum("...j,...ki->...ijk", t2, r3)
     flat = t.reshape(pp.shape[:-1] + (27,))
     return flat[0] if squeeze else flat
@@ -288,32 +291,18 @@ def tensor_from_params(p: np.ndarray) -> np.ndarray:
 
 def tensor_jacobian_params(p: np.ndarray) -> np.ndarray:
     """Analytic Jacobian of tensor_from_params: (..., 13) -> (..., 27, 13)."""
-    pp = np.asarray(p, dtype=complex)
-    squeeze = pp.ndim == 1
-    if squeeze:
-        pp = pp[None]
+    pp, squeeze, q2, q3, t2, t3 = _unpack(p)
     batch = pp.shape[:-1]
-    r2 = _rotations(pp[..., 0:4])
-    r3 = _rotations(pp[..., 4:8])
-    dr2 = _rotation_derivatives(pp[..., 0:4])
-    dr3 = _rotation_derivatives(pp[..., 4:8])
-    t2 = np.concatenate([pp[..., 8:10], np.ones(batch + (1,), dtype=complex)], axis=-1)
-    t3 = pp[..., 10:13]
-
     jac = np.zeros(batch + (3, 3, 3, 13), dtype=complex)
     # quaternion blocks
-    jac[..., 0:4] = np.moveaxis(
-        np.einsum("...mji,...k->...mijk", dr2, t3), -4, -1
-    )
-    jac[..., 4:8] = np.moveaxis(
-        -np.einsum("...j,...mki->...mijk", t2, dr3), -4, -1
-    )
-    # translation t2 (free coordinates j = 0, 1)
-    r3t = np.swapaxes(r3, -1, -2)  # (..., i, k) = R3[k, i]
+    jac[..., 0:4] = np.einsum("...mji,...k->...ijkm", _rotation_derivatives(q2), t3)
+    jac[..., 4:8] = -np.einsum("...j,...mki->...ijkm", t2, _rotation_derivatives(q3))
+    # translation t2 (free coordinates j = 0, 1): R3[k, i]
+    r3t = np.swapaxes(_rotations(q3), -1, -2)
     jac[..., :, 0, :, 8] = -r3t
     jac[..., :, 1, :, 9] = -r3t
-    # translation t3 (coordinate k = m)
-    r2t = np.swapaxes(r2, -1, -2)  # (..., i, j) = R2[j, i]
+    # translation t3 (coordinate k = m): R2[j, i]
+    r2t = np.swapaxes(_rotations(q2), -1, -2)
     for m in range(3):
         jac[..., :, :, m, 10 + m] = r2t
     out = jac.reshape(batch + (27, 13))

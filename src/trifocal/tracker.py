@@ -6,6 +6,11 @@ tracking whole batches of paths in lockstep so the linear solves batch
 into stacked 13x13 (or nxn) systems. Single-path entry points wrap the
 same engine.
 
+Every homotopy is a ``TwoSystemHomotopy``, gamma * s * start + (1 - s) *
+target; its value and both partials read the (start, target) pair from
+``systems``, the one method a subclass overrides (``witness.SliceHomotopy``
+evaluates the two sliced systems together).
+
 Every path ends in one of four statuses:
 
 - ``SUCCESS``: it reached s = 0 and the Newton-polished endpoint passes the
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -136,18 +141,6 @@ class TrackedEndpoint:
         return self.status == SUCCESS or (self.status == SINGULAR and self.winding > 0)
 
 
-class Homotopy(Protocol):
-    """Batched family H(z, s) with its two partial derivative blocks."""
-
-    dimension: int
-
-    def value(self, z: np.ndarray, s: np.ndarray) -> np.ndarray: ...
-
-    def jacobian(self, z: np.ndarray, s: np.ndarray) -> np.ndarray: ...
-
-    def s_partial(self, z: np.ndarray, s: np.ndarray) -> np.ndarray: ...
-
-
 class TwoSystemHomotopy:
     """gamma * s * start(z) + (1 - s) * target(z)."""
 
@@ -159,16 +152,23 @@ class TwoSystemHomotopy:
         self.gamma = complex(gamma)
         self.dimension = start.dimension
 
+    def systems(self, z: np.ndarray, derivative: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(start, target) values at the (B, n) stack ``z``, or Jacobians."""
+        if derivative:
+            return self.start.jacobian_at(z), self.target.jacobian_at(z)
+        return self.start.value_at(z), self.target.value_at(z)
+
     def value(self, z, s):
-        w = (self.gamma * s)[:, None]
-        return w * self.start.value_at(z) + (1.0 - s)[:, None] * self.target.value_at(z)
+        start, target = self.systems(z)
+        return (self.gamma * s)[:, None] * start + (1.0 - s)[:, None] * target
 
     def jacobian(self, z, s):
-        w = (self.gamma * s)[:, None, None]
-        return w * self.start.jacobian_at(z) + (1.0 - s)[:, None, None] * self.target.jacobian_at(z)
+        start, target = self.systems(z, derivative=True)
+        return (self.gamma * s)[:, None, None] * start + (1.0 - s)[:, None, None] * target
 
     def s_partial(self, z, s):
-        return self.gamma * self.start.value_at(z) - self.target.value_at(z)
+        start, target = self.systems(z)
+        return self.gamma * start - target
 
 
 def _solve_rows(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -186,12 +186,12 @@ def _solve_rows(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tangent(hom: Homotopy, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _tangent(hom: TwoSystemHomotopy, z: np.ndarray, s: np.ndarray) -> np.ndarray:
     """dz/ds = -H_z^{-1} H_s."""
     return -_solve_rows(hom.jacobian(z, s), hom.s_partial(z, s))
 
 
-def _rk4_predict(hom: Homotopy, z, s, ds):
+def _rk4_predict(hom: TwoSystemHomotopy, z, s, ds):
     """One RK4 step of dz/ds from s to s + ds. Returns (z_pred, finite_mask)."""
     k1 = _tangent(hom, z, s)
     k2 = _tangent(hom, z + 0.5 * ds[:, None] * k1, s + 0.5 * ds)
@@ -202,7 +202,7 @@ def _rk4_predict(hom: Homotopy, z, s, ds):
     return np.where(ok[:, None], zp, z), ok
 
 
-def _correct(hom: Homotopy, z, s, tol, max_iters):
+def _correct(hom: TwoSystemHomotopy, z, s, tol, max_iters):
     """Newton-correct each row at its fixed s.
 
     Returns (z, iterations_to_converge, converged_mask, solve_failed_mask).
@@ -249,7 +249,7 @@ class _Legs:
 
 
 def _track(
-    hom: Homotopy,
+    hom: TwoSystemHomotopy,
     starts: np.ndarray,
     cfg: TrackerConfig,
     base: np.ndarray | None = None,
@@ -368,7 +368,7 @@ def _track(
     return _Legs(z, t, status, steps, residual, contraction, (ck_z, ck_t))
 
 
-def _cauchy_endgame(hom: Homotopy, z0, r0, floor, cfg: TrackerConfig):
+def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
     """Cauchy endgame for paths that approach s = 0 along the real axis.
 
     Row i starts on its path at the real parameter s = r0[i].  Near a
@@ -384,8 +384,12 @@ def _cauchy_endgame(hom: Homotopy, z0, r0, floor, cfg: TrackerConfig):
     ordinary tracking stalled (and never below ``_ENDGAME_MIN_RADIUS``).
     A loop that has not closed after ``_ENDGAME_MAX_WINDING`` windings
     encloses other branch points; it gives no estimate and the radius
-    shrinks.  A row fails when a chord or a shrink segment fails to track,
-    or when it runs out of radius before two estimates agree.
+    shrinks.  A row stops when a chord or a shrink segment fails to track,
+    or when it runs out of radius before two estimates agree.  It still
+    finishes when its last estimate passes Aitken's error test: with the
+    last two differences d' and d of successive estimates, d^2 / d' is
+    within ``_ENDGAME_TOL`` (relative; under the trapezoid rule's geometric
+    convergence that is the estimate's remaining error); else it fails.
 
     Returns (endpoints, winding numbers, converged mask, steps taken).
     """
@@ -400,7 +404,8 @@ def _cauchy_endgame(hom: Homotopy, z0, r0, floor, cfg: TrackerConfig):
     steps = np.zeros(m, dtype=int)
     winding = np.zeros(m, dtype=int)
     estimate = np.full_like(z, np.nan)
-    converged = np.zeros(m, dtype=bool)
+    last_diff = np.full(m, np.nan)  # between the last two estimates
+    converged = np.zeros(m, dtype=bool)  # agreement, or Aitken's test
     live = np.ones(m, dtype=bool)
 
     def advance(rows, base, span):
@@ -439,12 +444,12 @@ def _cauchy_endgame(hom: Homotopy, z0, r0, floor, cfg: TrackerConfig):
         closed = wound > 0
         new = total[closed] / (wound[closed] * _ENDGAME_SAMPLES)[:, None]
         done = rows[closed]
-        agree = (winding[done] > 0) & (
-            np.linalg.norm(new - estimate[done], axis=1)
-            <= _ENDGAME_TOL * (1.0 + np.linalg.norm(new, axis=1))
-        )
+        diff = np.linalg.norm(new - estimate[done], axis=1)
+        tol = _ENDGAME_TOL * (1.0 + np.linalg.norm(new, axis=1))
+        agree = (winding[done] > 0) & (diff <= tol)
+        aitken = diff * diff <= last_diff[done] * tol
+        converged[done], last_diff[done] = agree | aitken, diff
         estimate[done], winding[done] = new, wound[closed]
-        converged[done[agree]] = True
         live[done[agree]] = False
         rows = rows[live[rows]]
         inner = r[rows] * _ENDGAME_SHRINK
@@ -457,7 +462,7 @@ def _cauchy_endgame(hom: Homotopy, z0, r0, floor, cfg: TrackerConfig):
     return estimate, winding, converged, steps
 
 
-def track_batch(hom: Homotopy, starts: np.ndarray, cfg: TrackerConfig) -> list[TrackedEndpoint]:
+def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) -> list[TrackedEndpoint]:
     """Track every row of ``starts`` from s = 1 to s = 0 in lockstep.
 
     Paths that stop short of s = 0 below ``ENDGAME_ZONE`` (or arrive there
@@ -558,10 +563,7 @@ def newton_refine(sys: SquareSystem, point, tol: float = 1e-12, max_iters: int =
         jac = sys.jacobian(z)
         if scaled_ok(res, jac):
             break
-        try:
-            dz = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return NewtonResult(z, False, float(np.abs(res).max()), iterations, np.nan, False)
+        dz = _solve_rows(jac[None], -res[None])[0]
         if not np.all(np.isfinite(dz.view(float))):
             return NewtonResult(z, False, float(np.abs(res).max()), iterations, np.nan, False)
         z = z + dz
@@ -589,11 +591,6 @@ def finite_difference_jacobian(sys: SquareSystem, point, h: float = 1e-7) -> np.
     return np.stack(cols, axis=1)
 
 
-def _roots_of_unity_shifted(r: complex, d: int) -> np.ndarray:
-    base = r ** (1.0 / d)
-    return base * np.exp(2j * np.pi * np.arange(d) / d)
-
-
 def total_degree_solve(
     sys: SquareSystem,
     degrees,
@@ -616,19 +613,13 @@ def total_degree_solve(
         jacobian=lambda z: np.diag(degs_arr * z ** (degs_arr - 1)),
         description="Bezout start system",
         evaluate_batch=lambda zb: zb**degs_arr - r,
-        jacobian_batch=lambda zb: _diag_batch(degs_arr * zb ** (degs_arr - 1)),
+        jacobian_batch=lambda zb: (degs_arr * zb ** (degs_arr - 1))[:, :, None] * np.eye(n),
     )
-    roots = [_roots_of_unity_shifted(r[i], degs[i]) for i in range(n)]
+    # the d-th roots of r_i: one of them times the d-th roots of unity
+    roots = [r[i] ** (1.0 / d) * np.exp(2j * np.pi * np.arange(d) / d) for i, d in enumerate(degs)]
     starts = np.array([combo for combo in itertools.product(*roots)], dtype=complex)
     hom = TwoSystemHomotopy(start, sys, cfg.gamma)
     return track_batch(hom, starts, cfg)
-
-
-def _diag_batch(diags: np.ndarray) -> np.ndarray:
-    b, n = diags.shape
-    out = np.zeros((b, n, n), dtype=complex)
-    out[:, np.arange(n), np.arange(n)] = diags
-    return out
 
 
 def path_log_lines(endpoints: list[TrackedEndpoint]) -> list[str]:

@@ -4,9 +4,12 @@ A pseudo-witness set is the quadruple (parameter patches, parametrization,
 generic slice, finite point set). This module populates the set by monodromy
 loops in slice-coefficient space, certifies completeness with the trace
 test, and moves certified sets to arbitrary target slices by coefficient
-homotopy. The calibrated three-camera variety and its isotropic sub-loci
-are provided; the machinery itself is generic over any parametrization, so
-the tests can run low-degree curve oracles through the identical code paths.
+homotopy. Every move (monodromy legs, trace legs, the solve's move) tracks
+on a ``SliceHomotopy``, which reads the source and target systems off one
+evaluation of the parametrization per call. The calibrated three-camera
+variety and its isotropic sub-loci are provided; the machinery itself is
+generic over any parametrization, so the tests can run low-degree curve
+oracles through the identical code paths.
 """
 from __future__ import annotations
 
@@ -55,10 +58,7 @@ class WitnessSlice:
 def as_witness_slice(obj) -> WitnessSlice:
     if isinstance(obj, WitnessSlice):
         return obj
-    rows = getattr(obj, "rows", None)
-    if rows is None:
-        rows = obj
-    rows = np.asarray(rows, dtype=complex)
+    rows = np.asarray(getattr(obj, "rows", obj), dtype=complex)
     return WitnessSlice(rows, np.zeros(rows.shape[0], dtype=complex))
 
 
@@ -99,6 +99,29 @@ class ParametrizedVariety:
         return self.param_dim - self.fixed_count
 
 
+def _sliced(var: ParametrizedVariety, slices, params, derivative: bool = False) -> list:
+    """Each slice's square system {rows @ f - constants * chart(f)} +
+    {fixed equations} at the (B, n) stack ``params``, or its Jacobian when
+    ``derivative``, all from one evaluation f of the image (of its Jacobian).
+
+    On a projective variety chart(f) = chart @ f, so the slice is the one
+    matrix rows - constants (x) chart; on an affine one chart(f) = 1 and the
+    constants shift the values.  Each slice takes its own product: stacking
+    the rows would change the BLAS summation order of the values and, with
+    it, the fate of near-singular paths."""
+    p = np.asarray(params, dtype=complex)
+    if var.chart is None:
+        mats, shifts = [slc.rows for slc in slices], [slc.constants for slc in slices]
+    else:
+        mats = [slc.rows - np.outer(slc.constants, var.chart) for slc in slices]
+        shifts = [0.0] * len(slices)
+    if derivative:
+        f, fixed = var.image_jacobian(p), var.fixed_jacobian(p)
+        return [np.concatenate([m @ f, fixed], axis=1) for m in mats]
+    f, fixed = var.image(p), var.fixed_values(p)
+    return [np.concatenate([f @ m.T - c, fixed], axis=1) for m, c in zip(mats, shifts)]
+
+
 def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
     """The square system {slice conditions on the image} + {fixed equations}."""
     slc = as_witness_slice(slc)
@@ -107,35 +130,31 @@ def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
             f"slice must be {var.slice_rows_needed}x{var.image_dim} for {var.name}, "
             f"got {slc.rows.shape}"
         )
-    rows, consts, chart = slc.rows, slc.constants, var.chart
-    use_consts = bool(np.any(consts != 0))
 
-    def value_batch(params):
-        p = np.asarray(params, dtype=complex)
-        img = var.image(p)
-        top = img @ rows.T
-        if use_consts:
-            denom = img @ chart if chart is not None else np.ones(p.shape[0], dtype=complex)
-            top = top - consts[None, :] * denom[:, None]
-        return np.concatenate([top, var.fixed_values(p)], axis=1)
-
-    def jacobian_batch(params):
-        p = np.asarray(params, dtype=complex)
-        jimg = var.image_jacobian(p)
-        top = np.einsum("km,bmn->bkn", rows, jimg)
-        if use_consts and chart is not None:
-            dchart = np.einsum("m,bmn->bn", chart, jimg)
-            top = top - consts[None, :, None] * dchart[:, None, :]
-        return np.concatenate([top, var.fixed_jacobian(p)], axis=1)
+    def at(points, derivative=False):
+        return _sliced(var, (slc,), points, derivative)[0]
 
     return tracker.SquareSystem(
         dimension=var.param_dim,
-        evaluate=lambda z: value_batch(np.asarray(z, dtype=complex)[None, :])[0],
-        jacobian=lambda z: jacobian_batch(np.asarray(z, dtype=complex)[None, :])[0],
+        evaluate=lambda z: at(np.asarray(z, dtype=complex)[None, :])[0],
+        jacobian=lambda z: at(np.asarray(z, dtype=complex)[None, :], True)[0],
         description=f"{var.name} sliced",
-        evaluate_batch=value_batch,
-        jacobian_batch=jacobian_batch,
+        evaluate_batch=at,
+        jacobian_batch=lambda points: at(points, True),
     )
+
+
+class SliceHomotopy(tracker.TwoSystemHomotopy):
+    """The homotopy from the source-sliced system to the target-sliced one;
+    both systems come from one evaluation of the parametrization."""
+
+    def __init__(self, var: ParametrizedVariety, source, target, gamma: complex = 1.0):
+        super().__init__(sliced_square_system(var, source), sliced_square_system(var, target), gamma)
+        self.var = var
+        self.slices = (as_witness_slice(source), as_witness_slice(target))
+
+    def systems(self, z, derivative=False):
+        return tuple(_sliced(self.var, self.slices, z, derivative))
 
 
 def random_slice(var: ParametrizedVariety, rng: np.random.Generator) -> WitnessSlice:
@@ -391,16 +410,13 @@ def move_points(
     """
     cfg = cfg or tracker.TrackerConfig()
     width = cfg.width if width is None else width
-    hom = tracker.TwoSystemHomotopy(
-        sliced_square_system(var, source), sliced_square_system(var, target), cfg.gamma
-    )
+    hom = SliceHomotopy(var, source, target, cfg.gamma)
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    if width <= 0 or pts.shape[0] <= width:
-        return tracker.track_batch(hom, pts, cfg)
-    ends: list[tracker.TrackedEndpoint] = []
-    for lo in range(0, pts.shape[0], width):
-        ends.extend(tracker.track_batch(hom, pts[lo : lo + width], cfg))
-    return ends
+    chunk = width if width > 0 else max(1, pts.shape[0])
+    return [
+        end for lo in range(0, pts.shape[0], chunk)
+        for end in tracker.track_batch(hom, pts[lo : lo + chunk], cfg)
+    ]
 
 
 def move_to_slice(
@@ -621,9 +637,6 @@ def monodromy_populate(
     if (membership_residuals(var, slc, pts) > MEMBERSHIP_TOL).any():
         raise WitnessError("seed point does not solve the sliced system")
 
-    def phase():
-        return np.exp(2j * np.pi * rng.random())
-
     certified = False
     loops = 0
     stable_since_trace = True
@@ -632,7 +645,7 @@ def monodromy_populate(
         waypoints = [slc, random_slice(var, rng), random_slice(var, rng), slc]
         cur = pts
         for a, b in zip(waypoints, waypoints[1:]):
-            ends = move_points(var, a, b, cur, replace(cfg, gamma=phase()))
+            ends = move_points(var, a, b, cur, replace(cfg, gamma=np.exp(2j * np.pi * rng.random())))
             cur = np.array([e.point for e in ends if e.status == tracker.SUCCESS])
             if cur.size == 0:
                 break

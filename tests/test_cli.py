@@ -78,6 +78,25 @@ def test_weight_ordering_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--rows", "-1"],
+        ["table", "--max-attempts", "0"],
+        ["solve", "--problem", "1,4,0,0,0", "--max-attempts", "0"],
+        ["witness", "--budget", "0"],
+    ],
+)
+def test_out_of_range_count_is_usage_error(tmp_path, capsys, argv):
+    argv = argv + ["--out", str(tmp_path / "out.json")]
+    if argv[0] != "witness":
+        argv += ["--witness", str(tmp_path / "w.json")]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
 def test_missing_witness_file_fails(tmp_path):
     rc = cli.main(["solve", "--witness", str(tmp_path / "none.json"), "--problem", "1,4,0,0,0"])
     assert rc == 1

@@ -271,3 +271,25 @@ def test_track_batch_mixed_fates():
     assert [e.status for e in ends] == [tracker.SUCCESS, tracker.SUCCESS]
     assert abs(ends[0].point[0] - 3.0) < 1e-9
     assert abs(ends[1].point[0] + 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("floor, finished", [(0.03, True), (0.1, False)])
+def test_endgame_keeps_an_estimate_that_passes_aitken(floor, finished):
+    """s z - p z - 1 = 0 has the path z(s) = 1 / (s - p) and a pole at p.
+    From r = 0.5 the loop radii are 0.5, 0.125, 0.031 and the estimates
+    differ by about 5e-3 and 7e-8 (relative), so no two agree to 1e-8
+    before the floor stops the row.  After three loops Aitken's error test,
+    (7e-8)^2 / 5e-3 = 1e-12, accepts the last estimate; after two there is
+    only one difference, and the row fails."""
+    p = 0.9 * np.exp(0.3j)
+    start = scalar_system(lambda z: (1 - p) * z - 1, lambda z: 1 - p)
+    target = scalar_system(lambda z: -p * z - 1, lambda z: -p)
+    hom = tracker.TwoSystemHomotopy(start, target, 1.0)
+    z0 = np.array([[1 / (0.5 - p)]])
+    est, winding, ok, _ = tracker._cauchy_endgame(
+        hom, z0, np.array([0.5]), np.array([floor]), tracker.TrackerConfig()
+    )
+    assert ok[0] == finished
+    if finished:
+        assert winding[0] == 1
+        assert abs(est[0, 0] + 1 / p) <= 1e-10

@@ -5,6 +5,7 @@ Low-degree curves with closed-form root oracles exercise the full machinery
 numerical claim here is checked against numpy.roots or hand algebra.
 """
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,60 @@ def test_sliced_system_jacobian_matches_finite_differences():
     z = np.array([0.4 + 0.7j])
     fd = tracker.finite_difference_jacobian(sys, z)
     assert np.abs(fd - sys.jacobian(z)).max() <= 1e-6
+
+
+def _counting(var):
+    """``var`` with its image and image Jacobian wrapped in call counters."""
+    calls = {"image": 0, "image_jacobian": 0}
+
+    def counted(name):
+        fn = getattr(var, name)
+
+        def call(p):
+            calls[name] += 1
+            return fn(p)
+
+        return call
+
+    return replace(var, image=counted("image"), image_jacobian=counted("image_jacobian")), calls
+
+
+@pytest.mark.parametrize("kind", ["calibrated", "affine"])
+def test_slice_homotopy_matches_two_sliced_systems(kind):
+    rng = np.random.default_rng(17)
+    if kind == "calibrated":
+        unit = [rng.normal(size=n) + 1j * rng.normal(size=n) for n in (4, 4, 27)]
+        var = witness.trifocal_variety("cal", *(u / np.linalg.norm(u) for u in unit))
+        source = witness.random_slice(var, rng)
+        # the trace test's translated slice: nonzero constants on the target
+        target = witness._shifted_slice(witness.random_slice(var, rng), 1.0)
+    else:
+        var = cubic_variety()  # chart None; random slices carry constants
+        source, target = witness.random_slice(var, rng), witness.random_slice(var, rng)
+    assert np.any(target.constants != 0)
+    b, n = 6, var.param_dim
+    z = rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n))
+    s = rng.random(b) + 0.3j * rng.normal(size=b)
+    gamma = np.exp(0.7j)
+    counted, calls = _counting(var)
+    hom = witness.SliceHomotopy(counted, source, target, gamma)
+    ref = tracker.TwoSystemHomotopy(
+        witness.sliced_square_system(var, source),
+        witness.sliced_square_system(var, target),
+        gamma,
+    )
+    for method, evaluation in (
+        ("value", "image"),
+        ("jacobian", "image_jacobian"),
+        ("s_partial", "image"),
+    ):
+        before = dict(calls)
+        got = getattr(hom, method)(z, s)
+        want = getattr(ref, method)(z, s)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        after = dict(before, **{evaluation: before[evaluation] + 1})
+        assert calls == after, method
 
 
 def test_random_slice_affine_has_nonzero_constants():
