@@ -25,12 +25,13 @@ from pathlib import Path
 from . import jsonio, pipeline, seeds, slices, tracker, witness
 
 DEFAULT_BUDGET = 200
-LOG_LEVELS = ("quiet", "info", "debug")
+LOG_LEVELS = ("quiet", "info")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one CLI invocation; serialized into output meta."""
+    """Resolved options for one CLI invocation (defaults for the options its
+    subcommand does not accept); serialized into output meta."""
 
     command: str
     seed: int = 0
@@ -75,13 +76,18 @@ def _say(log, msg: str) -> None:
         log(msg)
 
 
-def _load_json(path) -> dict:
+def _load_json(path, build=None):
+    """A witness, instance or solution file's document, or the object that
+    ``build`` makes of it; every failure is a CliError naming ``path``."""
     try:
-        return jsonio.parse_json(Path(path).read_bytes())
-    except FileNotFoundError:
-        raise CliError(f"{path}: file not found")
+        doc = jsonio.parse_json(Path(path).read_bytes())
+        return build(doc) if build else doc
+    except OSError as err:
+        raise CliError(f"{path}: {err.strerror or err}")
     except json.JSONDecodeError as err:
         raise CliError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
+    except (KeyError, ValueError, TypeError, pipeline.PipelineError) as err:
+        raise CliError(f"{path}: malformed ({err!r})")
 
 
 class CliError(RuntimeError):
@@ -102,8 +108,8 @@ def witness_content_hash(doc: dict) -> str:
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     """Return the cached degree when ``path`` already holds a valid build."""
     try:
-        doc = jsonio.parse_json(path.read_bytes())
-    except (OSError, ValueError):
+        doc = _load_json(path)
+    except CliError:
         _say(log, f"{path} is unreadable; rebuilding")
         return None
     meta = doc.get("meta", {})
@@ -117,16 +123,12 @@ def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     return int(meta["degree"])
 
 
-def _load_witness_file(path) -> witness.PseudoWitnessSet:
-    if not path:
-        raise CliError("a witness file is required (--witness)")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"{path}: witness file not found")
-    try:
-        return witness.load_witness(p)
-    except (OSError, KeyError, ValueError) as err:
-        raise CliError(f"{path}: not a witness file ({err})")
+def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:
+    """Stamp the content hash and the run configuration, then write."""
+    doc = witness.witness_to_dict(pws)
+    doc["meta"]["content_hash"] = witness_content_hash(doc)
+    doc["meta"]["run_config"] = cfg.to_dict()
+    jsonio.dump_json(path, doc)
 
 
 def cmd_witness(cfg: RunConfig) -> int:
@@ -146,10 +148,7 @@ def cmd_witness(cfg: RunConfig) -> int:
         trace_tol=cfg.tol_trace,
         log=log,
     )
-    doc = witness.witness_to_dict(pws)
-    doc["meta"]["content_hash"] = witness_content_hash(doc)
-    doc["meta"]["run_config"] = cfg.to_dict()
-    jsonio.dump_json(out, doc)
+    _write_witness(out, pws, cfg)
     print(pws.meta["degree"])
     if not pws.certified:
         _say(log, f"trace test did not certify; uncertified set saved to {out}")
@@ -160,7 +159,7 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 def cmd_trace_test(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    pws = _load_witness_file(cfg.witness_path)
+    pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     rng = seeds.child_rng(cfg.seed, "cli", "trace")
     result = witness.trace_test(pws, cfg=cfg.tracker_config(), tol=cfg.tol_trace, rng=rng)
     print(f"deviation={result.deviation:.3e} passed={result.passed}")
@@ -170,10 +169,7 @@ def cmd_trace_test(cfg: RunConfig) -> int:
         pws.certified = True
         # what `trifocal trace-test --seed <seed>` needs to re-check the file
         pws.meta["trace"] = {"seed": cfg.seed, "deviation": result.deviation, "tol": cfg.tol_trace}
-        doc = witness.witness_to_dict(pws)
-        doc["meta"]["content_hash"] = witness_content_hash(doc)
-        doc["meta"]["run_config"] = cfg.to_dict()
-        jsonio.dump_json(cfg.witness_path, doc)
+        _write_witness(cfg.witness_path, pws, cfg)
         _say(log, f"marked {cfg.witness_path} certified")
     return 0 if result.passed else 1
 
@@ -183,7 +179,7 @@ def cmd_trace_test(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_stored_instance(pws, cfg: RunConfig) -> pipeline.ProblemRun:
-    w, _, instance = slices.load_instance(cfg.instance_path)
+    w, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
     if cfg.problem and tuple(cfg.problem) != w.as_tuple():
         raise CliError(
             f"--problem {cfg.problem} does not match the stored instance's {w.as_tuple()}"
@@ -204,7 +200,7 @@ def _run_stored_instance(pws, cfg: RunConfig) -> pipeline.ProblemRun:
 
 def cmd_solve(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    pws = _load_witness_file(cfg.witness_path)
+    pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     try:
         if cfg.instance_path:
             run = _run_stored_instance(pws, cfg)
@@ -235,7 +231,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    pws = _load_witness_file(cfg.witness_path)
+    pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     problems = slices.enumerate_problems()
     if cfg.rows is not None:
         problems = problems[: cfg.rows]
@@ -276,7 +272,7 @@ def _solution_records(doc: dict) -> list[pipeline.SolutionRecord]:
     elif "camera_matrices" in doc:
         entries = [doc]
     else:
-        raise CliError("solution file has neither 'solutions' nor 'camera_matrices'")
+        raise ValueError("neither 'solutions' nor 'camera_matrices'")
     records = []
     for entry in entries:
         if "params" in entry:
@@ -294,17 +290,17 @@ def _solution_records(doc: dict) -> list[pipeline.SolutionRecord]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    doc = _load_json(cfg.solution_path)
-    try:
-        records = _solution_records(doc)
-        if cfg.instance_path:
-            _, _, instance = slices.load_instance(cfg.instance_path)
-        elif "instance" in doc:
-            _, _, instance = slices.instance_from_dict(doc["instance"])
-        else:
-            raise CliError("no --instance given and the solution file embeds none")
-    except (KeyError, ValueError, pipeline.PipelineError) as err:
-        raise CliError(f"{cfg.solution_path}: malformed ({err!r})")
+
+    def solution(doc):
+        embedded = not cfg.instance_path and "instance" in doc
+        instance = slices.instance_from_dict(doc["instance"])[2] if embedded else None
+        return doc, _solution_records(doc), instance
+
+    doc, records, instance = _load_json(cfg.solution_path, solution)
+    if cfg.instance_path:
+        _, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
+    elif instance is None:
+        raise CliError(f"{cfg.solution_path}: embeds no instance, and no --instance was given")
     checks = ("physical", "independent_centers", "multiview", "epipole_clear")
     tallies = {name: 0 for name in checks}
     passed = 0
@@ -355,25 +351,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    common.add_argument("--width", type=_at_least(0), default=0,
-                        help="paths tracked in lockstep per chunk (0 = all at once)")
-    common.add_argument("--log", choices=LOG_LEVELS, default="info", help="stderr verbosity")
-    common.add_argument("--out", dest="out_path", default=None, help="output file path")
-    common.add_argument("--tol-trace", type=float, default=witness.TRACE_TOL,
-                        help="completeness certificate tolerance")
-    common.add_argument("--tol-verify", type=float, default=None,
+    # each parent holds options that every subcommand it is attached to reads
+    log, tracking, out, trace, checks = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    log.add_argument("--log", choices=LOG_LEVELS, default="info", help="stderr verbosity")
+    tracking.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
+    tracking.add_argument("--width", type=_at_least(0), default=0,
+                          help="paths tracked in lockstep per chunk (0 = all at once)")
+    out.add_argument("--out", dest="out_path", default=None, help="output file path")
+    trace.add_argument("--tol-trace", type=float, default=witness.TRACE_TOL,
+                       help="completeness certificate tolerance")
+    checks.add_argument("--tol-verify", type=float, default=None,
                         help="absolute rank tolerance for verification (default: rank-ratio test)")
-    common.add_argument("--tol-epipole", type=float, default=pipeline.EPIPOLE_TOL,
+    checks.add_argument("--tol-epipole", type=float, default=pipeline.EPIPOLE_TOL,
                         help="minimum epipole clearance")
 
-    p = sub.add_parser("witness", parents=[common], help="build and certify a witness set")
+    p = sub.add_parser("witness", parents=[log, tracking, out, trace],
+                       help="build and certify a witness set")
     p.add_argument("--locus", choices=witness.LOCI, default="cal")
     p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET, help="monodromy loop budget")
     p.add_argument("--force", action="store_true", help="rebuild even when a valid file exists")
 
-    p = sub.add_parser("solve", parents=[common], help="solve one minimal problem")
+    p = sub.add_parser("solve", parents=[log, tracking, out], help="solve one minimal problem")
     p.add_argument("--witness", dest="witness_path", required=True)
     p.add_argument("--problem", type=_problem_arg, default=None,
                    help="comma-separated weights, e.g. 1,4,0,0,0")
@@ -381,16 +379,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve this stored instance instead of a random one")
     p.add_argument("--max-attempts", type=_at_least(1), default=3)
 
-    p = sub.add_parser("table", parents=[common], help="tabulate all minimal-problem degrees")
+    p = sub.add_parser("table", parents=[log, tracking, out],
+                       help="tabulate all minimal-problem degrees")
     p.add_argument("--witness", dest="witness_path", required=True)
     p.add_argument("--rows", type=_at_least(0), default=None, help="only the first N problems")
     p.add_argument("--max-attempts", type=_at_least(1), default=3)
 
-    p = sub.add_parser("verify", parents=[common], help="re-check a solution file")
+    p = sub.add_parser("verify", parents=[log, checks], help="re-check a solution file")
     p.add_argument("--solution", dest="solution_path", required=True)
     p.add_argument("--instance", dest="instance_path", default=None)
 
-    p = sub.add_parser("trace-test", parents=[common],
+    p = sub.add_parser("trace-test", parents=[log, tracking, trace],
                        help="re-run the completeness certificate on a witness file")
     p.add_argument("--witness", dest="witness_path", required=True)
     p.add_argument("--update", action="store_true",

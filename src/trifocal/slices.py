@@ -79,7 +79,6 @@ class LinearSlice:
 
     rows: np.ndarray
     rank: int
-    provenance: tuple = ()
 
 
 def enumerate_problems() -> list[ProblemWeights]:
@@ -135,24 +134,15 @@ def assemble_special_slice(instance: list[Correspondence]) -> LinearSlice:
     minimal problem; degenerate (e.g. duplicated) data raises
     DegenerateInstanceError.
     """
-    blocks = []
-    provenance = []
-    at = 0
-    expected = 0
     per_kind_rank = {"PPP": 4, "PPL": 2, "PLP": 2, "LLL": 2, "PLL": 1}
-    for corr in instance:
-        rows = constraint_rows(corr)
-        blocks.append(rows)
-        provenance.append((corr.kind, at, rows.shape[0]))
-        at += rows.shape[0]
-        expected += per_kind_rank[corr.kind]
-    stacked = np.vstack(blocks)
+    expected = sum(per_kind_rank[corr.kind] for corr in instance)
+    stacked = np.vstack([constraint_rows(corr) for corr in instance])
     rank = numlin.numerical_rank(stacked)
     if rank != expected:
         raise DegenerateInstanceError(
             f"assembled slice has codimension {rank}, expected {expected}"
         )
-    return LinearSlice(rows=stacked, rank=rank, provenance=tuple(provenance))
+    return LinearSlice(rows=stacked, rank=rank)
 
 
 def randomize_slice(s: LinearSlice, rng: np.random.Generator) -> LinearSlice:
@@ -170,7 +160,7 @@ def randomize_slice(s: LinearSlice, rng: np.random.Generator) -> LinearSlice:
     rank = numlin.numerical_rank(rows)
     if rank != 11:
         raise DegenerateInstanceError("randomized slice lost rank")
-    return LinearSlice(rows=rows, rank=rank, provenance=(("randomized", 0, 11),))
+    return LinearSlice(rows=rows, rank=rank)
 
 
 def random_instance(

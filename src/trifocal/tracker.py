@@ -14,7 +14,7 @@ evaluates the two sliced systems together).
 Every path ends in one of four statuses:
 
 - ``SUCCESS``: it reached s = 0 and the Newton-polished endpoint passes the
-  backward-error test ``|H| <= endpoint_tol * (1 + |H_z|_inf)``.
+  backward-error test ``|H| <= ENDPOINT_TOL * (1 + |H_z|_inf)``.
 - ``SINGULAR`` with ``winding >= 1``: it stalled below ``ENDGAME_ZONE`` (or
   reached s = 0 at a point the test rejects) and the Cauchy endgame
   finished it.  The endpoint is finite but singular; ``winding`` is the
@@ -45,6 +45,10 @@ _ACTIVE = "active"
 _FAST_ITERS = 2  # corrections this cheap count toward growing the step
 _FAST_RUN = 2  # consecutive cheap corrections before the step doubles
 _ENDPOINT_ITERS = 12
+_MAX_NEWTON = 4  # corrector iterations per step
+_MAX_STEPS = 3000  # a path still active after this many steps ends step-limit
+_DIVERGENCE_RADIUS = 1e8  # a path whose point grows past this norm ends diverged
+ENDPOINT_TOL = 1e-11  # the backward-error test's tolerance
 
 ENDGAME_ZONE = 1e-2  # paths that stall below this s go to the endgame
 _CHECKPOINT_DROP = 1e-2  # a new checkpoint each time s falls by this factor
@@ -91,26 +95,23 @@ class TrackerConfig:
 
     ``width`` > 0 advances at most that many paths in lockstep per chunk
     (``witness.move_points`` splits the batch); 0 tracks them all at once.
-    Path state is row-independent, so the width changes memory use and
-    progress granularity, not an endpoint.
+    Path state is row-independent, but BLAS sums the batched products in
+    an order that depends on the batch size, so the width moves endpoints
+    in their last bits and can change the fate of a near-singular path.
     """
 
     initial_step: float = 0.05
     min_step: float = 1e-10
     max_step: float = 0.25
     newton_tol: float = 1e-9
-    max_newton: int = 4
-    max_steps: int = 3000
-    divergence_radius: float = 1e8
-    endpoint_tol: float = 1e-11
     gamma: complex = 1.0 + 0.0j
     width: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.min_step <= self.initial_step <= self.max_step <= 1.0):
             raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
-        if min(self.newton_tol, self.endpoint_tol) <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.newton_tol <= 0.0:
+            raise ValueError("newton_tol must be positive")
         if abs(abs(complex(self.gamma)) - 1.0) > 1e-8:
             raise ValueError("gamma must lie on the unit circle")
         if self.width < 0:
@@ -262,7 +263,7 @@ def _track(
     segment of the complex s-plane; with ``base``/``span`` omitted that is
     s = t, the ordinary run from s = 1 to s = 0.  Rows that arrive are
     Newton-refined at t = 0 and succeed when they pass the backward-error
-    test ``|H| <= endpoint_tol * (1 + |H_z|_inf)``, the scale
+    test ``|H| <= ENDPOINT_TOL * (1 + |H_z|_inf)``, the scale
     ``newton_refine`` uses.  The run also keeps, per row, the last two
     accepted points at which t fell below ``_CHECKPOINT_DROP`` times the
     previous checkpoint's t, latest first; the endgame restarts from one
@@ -287,9 +288,9 @@ def _track(
         act = np.flatnonzero((status == _ACTIVE) & (t > 0.0))
         if act.size == 0:
             break
-        hit_limit = act[steps[act] >= cfg.max_steps]
+        hit_limit = act[steps[act] >= _MAX_STEPS]
         status[hit_limit] = STEP_LIMIT
-        act = act[steps[act] < cfg.max_steps]
+        act = act[steps[act] < _MAX_STEPS]
         if act.size == 0:
             continue
         steps[act] += 1
@@ -300,7 +301,7 @@ def _track(
 
         zp, pred_ok = _rk4_predict(hom, z[act], s_at(act, t[act]), ds)
         zc, iters, conv, solvefail = _correct(
-            hom, zp, s_at(act, tnew), cfg.newton_tol, cfg.max_newton
+            hom, zp, s_at(act, tnew), cfg.newton_tol, _MAX_NEWTON
         )
         accepted = pred_ok & conv & ~solvefail
 
@@ -311,7 +312,7 @@ def _track(
         grow = ia[fast[ia] >= _FAST_RUN]
         h[grow] = np.minimum(h[grow] * 2.0, cfg.max_step)
         fast[grow] = 0
-        blown = ia[np.linalg.norm(z[ia], axis=1) > cfg.divergence_radius]
+        blown = ia[np.linalg.norm(z[ia], axis=1) > _DIVERGENCE_RADIUS]
         status[blown] = DIVERGED
         renew = ia[t[ia] < _CHECKPOINT_DROP * ck_t[0, ia]]
         ck_z[1, renew], ck_t[1, renew] = ck_z[0, renew], ck_t[0, renew]
@@ -353,7 +354,7 @@ def _track(
             # the last polish step barely moved the point, so its Jacobian
             # sets the scale
             scale = 1.0 + np.abs(jac).sum(axis=2).max(axis=1)
-            okall = residual[done] <= cfg.endpoint_tol * scale
+            okall = residual[done] <= ENDPOINT_TOL * scale
         status[done[okall]] = SUCCESS
         status[done[~okall]] = SINGULAR
 

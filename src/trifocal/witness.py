@@ -405,8 +405,9 @@ def move_points(
 
     Paths advance in chunks of ``cfg.width`` (0: all at once); ``width``,
     when given, overrides it for this call.  Path state is row-independent,
-    so chunking changes memory use and progress granularity but not a
-    single endpoint.
+    but BLAS sums the batched products in a size-dependent order, so
+    chunking moves endpoints in their last bits and can change whether a
+    near-singular path finishes.
     """
     cfg = cfg or tracker.TrackerConfig()
     width = cfg.width if width is None else width
@@ -690,7 +691,6 @@ def build_witness(
     log: Callable[[str], None] | None = None,
 ) -> PseudoWitnessSet:
     """Seed, populate, and certify a pseudo-witness set for one locus."""
-    cfg = cfg or tracker.TrackerConfig()
     rng_patch = seeds.child_rng(seed, "witness", locus, "patches")
     rng_start = seeds.child_rng(seed, "witness", locus, "start")
     rng_slice = seeds.child_rng(seed, "witness", locus, "slice")
@@ -722,7 +722,7 @@ def build_witness(
             "trace": trace_tol,
             "dedup": DEDUP_TOL,
             "membership": MEMBERSHIP_TOL,
-            "endpoint": cfg.endpoint_tol,
+            "endpoint": tracker.ENDPOINT_TOL,
         },
     }
     return PseudoWitnessSet(

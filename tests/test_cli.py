@@ -276,3 +276,98 @@ def test_witness_file_roundtrips_byte_identical(tmp_path):
     doc = witness.witness_to_dict(pws)
     doc["meta"]["content_hash"] = cli.witness_content_hash(doc)
     assert json.dumps(doc, indent=1, sort_keys=True) + "\n" == out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# every accepted option is read; input files fail with one named error
+# ---------------------------------------------------------------------------
+
+READ_OPTIONS = {
+    "witness": {"--log", "--seed", "--width", "--out", "--tol-trace", "--locus", "--budget", "--force"},
+    "solve": {"--log", "--seed", "--width", "--out", "--witness", "--problem", "--instance",
+              "--max-attempts"},
+    "table": {"--log", "--seed", "--width", "--out", "--witness", "--rows", "--max-attempts"},
+    "verify": {"--log", "--tol-verify", "--tol-epipole", "--solution", "--instance"},
+    "trace-test": {"--log", "--seed", "--width", "--tol-trace", "--witness", "--update"},
+}
+
+
+def test_each_subcommand_accepts_exactly_the_options_it_reads():
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, cli.argparse._SubParsersAction)
+    )
+    accepted = {
+        name: {s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == READ_OPTIONS
+    assert sum(map(len, accepted.values())) == 34
+
+
+def _usage_probe(cmd, tmp_path):
+    required = {
+        "witness": ["--budget", "1"],
+        "solve": ["--witness", str(tmp_path / "w.json"), "--problem", "1,4,0,0,0"],
+        "table": ["--witness", str(tmp_path / "w.json")],
+        "verify": ["--solution", str(tmp_path / "sol.json")],
+        "trace-test": ["--witness", str(tmp_path / "w.json")],
+    }
+    return [cmd] + required[cmd]
+
+
+@pytest.mark.parametrize(
+    "cmd, extra",
+    [
+        ("verify", ["--width", "2"]),
+        ("verify", ["--seed", "1"]),
+        ("verify", ["--out", "x.json"]),
+        ("solve", ["--tol-epipole", "1e-3"]),
+        ("table", ["--tol-trace", "1e-5"]),
+        ("trace-test", ["--out", "x.json"]),
+        ("witness", ["--tol-verify", "1"]),
+    ]
+    + [(cmd, ["--log", "debug"]) for cmd in READ_OPTIONS],
+)
+def test_unread_option_is_usage_error(tmp_path, capsys, monkeypatch, cmd, extra):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_usage_probe(cmd, tmp_path) + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert extra[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _malformed_instance(tmp_path):
+    doc = json.loads(data_path("reference_instance.json").read_text())
+    del doc["correspondences"]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+@pytest.mark.parametrize("broken", ["missing", "malformed"])
+def test_bad_instance_file_is_one_named_error(tmp_path, capsys, cmd, broken):
+    inst = tmp_path / "none.json" if broken == "missing" else _malformed_instance(tmp_path)
+    if cmd == "solve":
+        argv = ["solve", "--witness", str(data_path("witness_cal.json.gz")),
+                "--out", str(tmp_path / "sol.json")]
+    else:
+        argv = ["verify", "--solution", str(data_path("reference_solution.json"))]
+    rc = cli.main(argv + ["--instance", str(inst), "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {inst}:")
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("doc", [{}, {"solutions": []}])
+def test_unusable_solution_file_is_one_named_error(tmp_path, capsys, doc):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(doc))
+    rc = cli.main(["verify", "--solution", str(sol), "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sol}:")
