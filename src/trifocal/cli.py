@@ -22,7 +22,7 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import jsonio, pipeline, seeds, slices, tracker, witness
+from . import geometry, jsonio, pipeline, seeds, slices, tracker, witness
 
 DEFAULT_BUDGET = 200
 LOG_LEVELS = ("quiet", "info")
@@ -50,7 +50,7 @@ class RunConfig:
     update: bool = False
     tol_trace: float = witness.TRACE_TOL
     tol_verify: float | None = None
-    tol_epipole: float = pipeline.EPIPOLE_TOL
+    tol_epipole: float = geometry.EPIPOLE_TOL
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="completeness certificate tolerance")
     checks.add_argument("--tol-verify", type=float, default=None,
                         help="absolute rank tolerance for verification (default: rank-ratio test)")
-    checks.add_argument("--tol-epipole", type=float, default=pipeline.EPIPOLE_TOL,
+    checks.add_argument("--tol-epipole", type=float, default=geometry.EPIPOLE_TOL,
                         help="minimum epipole clearance")
 
     p = sub.add_parser("witness", parents=[log, tracking, out, trace],

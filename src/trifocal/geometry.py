@@ -18,10 +18,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numlin
-from .numlin import RANK_RATIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .slices import Correspondence
+
+#: a point or line closer than this to an epipole of its image is rejected
+EPIPOLE_TOL = 1e-6
+
 
 class DegenerateCameraError(ValueError):
     """Camera matrix is rank-deficient (no well-defined center)."""
@@ -340,16 +343,16 @@ def _unit(v) -> np.ndarray:
     return a / np.linalg.norm(a)
 
 
-def _point_camera_block(cam, x, n_cams, slot, rows=3):
-    block = np.zeros((rows, 4 + n_cams), dtype=complex)
+def _point_camera_block(cam, x, n_cams, slot):
+    block = np.zeros((3, 4 + n_cams), dtype=complex)
     block[:, 0:4] = cam
     block[:, 4 + slot] = x
     return block
 
 
-def _rank_verdict(m, expected, ratio_threshold, abs_tol):
+def _rank_verdict(m, expected, abs_tol):
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    rank = numlin.rank_of_values(s, ratio_threshold)
+    rank = numlin.rank_of_values(s)
     if expected < s.size:
         drop = float(s[expected - 1] / s[expected]) if s[expected] > 0 else np.inf
         trailing = float(s[expected] / s[0]) if s[0] > 0 else 0.0
@@ -368,7 +371,6 @@ def multiview_residual(
     b,
     c,
     data: "Correspondence",
-    ratio_threshold: float = RANK_RATIO,
     abs_tol: float | None = None,
 ) -> MultiviewReport:
     """Build the minor matrix for one correspondence and test its rank drop.
@@ -406,12 +408,12 @@ def multiview_residual(
         m[0:3] = _point_camera_block(a, v0, 2, 0)
         m[3:6] = _point_camera_block(pt_cam2, pt2, 2, 1)
         m[6, 0:4] = line @ line_cam
-        passed, rank, drop = _rank_verdict(m, 5, ratio_threshold, abs_tol)
+        passed, rank, drop = _rank_verdict(m, 5, abs_tol)
         return MultiviewReport(kind, passed, rank, 5, drop)
 
     if kind == "LLL":
         m = np.column_stack([a.T @ v0, b.T @ v1, c.T @ v2])
-        passed, rank, drop = _rank_verdict(m, 2, ratio_threshold, abs_tol)
+        passed, rank, drop = _rank_verdict(m, 2, abs_tol)
         return MultiviewReport(kind, passed, rank, 2, drop)
 
     if kind == "PPP":
@@ -419,7 +421,7 @@ def multiview_residual(
         m[0:3] = _point_camera_block(a, v0, 3, 0)
         m[3:6] = _point_camera_block(b, v1, 3, 1)
         m[6:9] = _point_camera_block(c, v2, 3, 2)
-        passed, rank, drop = _rank_verdict(m, 6, ratio_threshold, abs_tol)
+        passed, rank, drop = _rank_verdict(m, 6, abs_tol)
         dets = {}
         for label, (cam1, x1, cam2, x2) in {
             "12": (a, v0, b, v1),
@@ -476,27 +478,18 @@ def epipole_clearance(data: "Correspondence", epipoles: dict) -> float:
     return worst
 
 
-def consistency_check(
-    a,
-    b,
-    c,
-    data: "Correspondence",
-    ratio_threshold: float = RANK_RATIO,
-    abs_tol: float | None = None,
-    epipole_tol: float = 1e-6,
-) -> bool:
+def consistency_check(a, b, c, data: "Correspondence") -> bool:
     """Multi-view membership plus epipole avoidance.
 
     True iff the correspondence passes multiview_residual for its kind and
-    every one of its points/lines stays farther than ``epipole_tol`` from
+    every one of its points/lines stays farther than ``EPIPOLE_TOL`` from
     both epipoles in its image. Raises UndefinedEpipoleError for camera
     pairs with identical centers.
     """
     eps = all_epipoles(a, b, c)
-    report = multiview_residual(data.kind, a, b, c, data, ratio_threshold, abs_tol)
-    if not report.passed:
+    if not multiview_residual(data.kind, a, b, c, data).passed:
         return False
-    return epipole_clearance(data, eps) > epipole_tol
+    return epipole_clearance(data, eps) > EPIPOLE_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def numerical_rank(m, ratio_threshold: float = RANK_RATIO) -> int:
     return rank_of_values(s, ratio_threshold)
 
 
-def ranks_of_singulars(batch_values, ratio_threshold: float = RANK_RATIO) -> np.ndarray:
+def ranks_of_singulars(batch_values) -> np.ndarray:
     """Vectorized rank_of_values over a (B, k) stack of spectra."""
     S = np.asarray(batch_values, dtype=float)
     B, k = S.shape
@@ -88,21 +88,21 @@ def ranks_of_singulars(batch_values, ratio_threshold: float = RANK_RATIO) -> np.
     floor = RANK_FLOOR * lead
     found = np.zeros(B, dtype=bool)
     for i in range(k - 1):
-        gap = (~found) & (S[:, i + 1] < floor) & (S[:, i] > ratio_threshold * S[:, i + 1])
+        gap = (~found) & (S[:, i + 1] < floor) & (S[:, i] > RANK_RATIO * S[:, i + 1])
         ranks[gap] = i + 1
         found |= gap
     ranks[lead <= 0.0] = 0
     return ranks
 
 
-def nullspace(m, ratio_threshold: float = RANK_RATIO) -> np.ndarray:
+def nullspace(m) -> np.ndarray:
     """Orthonormal columns spanning the numerical kernel of m.
 
     A full-rank matrix yields a (cols, 0) array rather than an error.
     """
     a = np.asarray(m, dtype=complex)
     spec = svd(a)
-    r = rank_of_values(spec.values, ratio_threshold)
+    r = rank_of_values(spec.values)
     return spec.right[r:].conj().T
 
 
@@ -127,7 +127,7 @@ def det4(m) -> complex:
     return complex(np.linalg.det(a))
 
 
-def normalize_projective(v, tol: float = 1e-8) -> np.ndarray:
+def normalize_projective(v) -> np.ndarray:
     """Canonical representative of a projective point/tensor.
 
     Unit Euclidean norm, with the first numerically nonzero coordinate
@@ -141,7 +141,7 @@ def normalize_projective(v, tol: float = 1e-8) -> np.ndarray:
     # skip near-identity rescalings so the map is exactly idempotent
     u = a if abs(n - 1.0) <= 1e-12 else a / n
     mags = np.abs(u)
-    idx = int(np.argmax(mags > tol))
+    idx = int(np.argmax(mags > 1e-8))
     phase = u[idx] / mags[idx]
     if abs(phase - 1.0) > 1e-12:
         u = u * phase.conjugate()

@@ -22,7 +22,6 @@ from .numlin import numerical_rank
 MEMBERSHIP_RTOL = 1e-7
 PHYSICALITY_TOL = 1e-6
 SOLUTION_DEDUP_TOL = 1e-6
-EPIPOLE_TOL = 1e-6
 REAL_TOL = 1e-6
 PATH_FAILURE_BUDGET = 0.01
 
@@ -120,13 +119,13 @@ def real_normal_form(params) -> np.ndarray:
     return p
 
 
-def _params_are_real(params, tol: float = REAL_TOL) -> bool:
-    return bool(np.abs(real_normal_form(params).imag).max() <= tol)
+def _params_are_real(params) -> bool:
+    return bool(np.abs(real_normal_form(params).imag).max() <= REAL_TOL)
 
 
-def classify_real(rec: SolutionRecord, tol: float = REAL_TOL) -> bool:
+def classify_real(rec: SolutionRecord) -> bool:
     """True iff the configuration admits a real representative."""
-    return _params_are_real(rec.params, tol)
+    return _params_are_real(rec.params)
 
 
 def conjugate_params(params) -> np.ndarray:
@@ -138,12 +137,12 @@ def conjugate_params(params) -> np.ndarray:
 # the individual filters (2-5 are shared with verify_solution)
 # ---------------------------------------------------------------------------
 
-def _physicality(params, tol: float = PHYSICALITY_TOL) -> bool:
+def _physicality(params) -> bool:
     p = np.asarray(params, dtype=complex).reshape(13)
     for lo, hi in ((0, 4), (4, 8)):
         q = p[lo:hi]
         n = np.linalg.norm(q)
-        if n == 0 or abs(np.sum(q**2)) / n**2 < tol:
+        if n == 0 or abs(np.sum(q**2)) / n**2 < PHYSICALITY_TOL:
             return False
     return True
 
@@ -170,7 +169,7 @@ def _multiview_all(cams, instance, abs_tol=None) -> bool:
     )
 
 
-def _epipole_clear(cams, centers, instance, tol: float = EPIPOLE_TOL) -> bool:
+def _epipole_clear(cams, centers, instance, tol: float = geometry.EPIPOLE_TOL) -> bool:
     try:
         eps = geometry.all_epipoles(*cams, centers=centers)
     except geometry.UndefinedEpipoleError:
@@ -178,7 +177,9 @@ def _epipole_clear(cams, centers, instance, tol: float = EPIPOLE_TOL) -> bool:
     return all(geometry.epipole_clearance(corr, eps) > tol for corr in instance)
 
 
-def verify_solution(rec: SolutionRecord, instance, abs_tol=None, epipole_tol=EPIPOLE_TOL) -> dict:
+def verify_solution(
+    rec: SolutionRecord, instance, abs_tol=None, epipole_tol=geometry.EPIPOLE_TOL
+) -> dict:
     """Standalone re-run of the physicality/centers/multiview/epipole checks.
 
     ``abs_tol`` switches the multi-view rank tests to absolute thresholds,

@@ -9,12 +9,17 @@ same engine.
 Every homotopy is a ``TwoSystemHomotopy``, gamma * s * start + (1 - s) *
 target; its value and both partials read the (start, target) pair from
 ``systems``, the one method a subclass overrides (``witness.SliceHomotopy``
-evaluates the two sliced systems together).
+evaluates the two sliced systems together).  The tracker evaluates a
+homotopy in three places only: ``_tangent`` (the predictor's dz/ds),
+``_newton_step`` (the one Newton correction, shared by the step corrector
+``_correct`` and the endpoint polish in ``_track``) and ``_residual`` (the
+residual an endpoint reports).  ``_backward_ok`` is the one backward-error
+test, used by ``_track`` and ``newton_refine``.
 
 Every path ends in one of four statuses:
 
 - ``SUCCESS``: it reached s = 0 and the Newton-polished endpoint passes the
-  backward-error test ``|H| <= ENDPOINT_TOL * (1 + |H_z|_inf)``.
+  backward-error test (``_backward_ok`` at ``ENDPOINT_TOL``).
 - ``SINGULAR`` with ``winding >= 1``: it stalled below ``ENDGAME_ZONE`` (or
   reached s = 0 at a point the test rejects) and the Cauchy endgame
   finished it.  The endpoint is finite but singular; ``winding`` is the
@@ -192,6 +197,30 @@ def _tangent(hom: TwoSystemHomotopy, z: np.ndarray, s: np.ndarray) -> np.ndarray
     return -_solve_rows(hom.jacobian(z, s), hom.s_partial(z, s))
 
 
+def _newton_step(hom: TwoSystemHomotopy, z: np.ndarray, s: np.ndarray):
+    """One Newton correction per row at fixed s: (dz, bad, H_z).
+
+    ``dz = -H_z^{-1} H``; rows whose solve is not finite are flagged
+    ``bad`` and get a zero correction.
+    """
+    res = hom.value(z, s)
+    jac = hom.jacobian(z, s)
+    dz = _solve_rows(jac, -res)
+    bad = ~np.all(np.isfinite(dz.view(float)), axis=1)
+    return np.where(bad[:, None], 0.0, dz), bad, jac
+
+
+def _backward_ok(residual, jac, tol: float):
+    """The backward-error test ``|H| <= tol * (1 + |H_z|_inf)``, row by row."""
+    return residual <= tol * (1.0 + np.abs(jac).sum(axis=-1).max(axis=-1))
+
+
+def _residual(hom: TwoSystemHomotopy, z: np.ndarray, s) -> np.ndarray:
+    """max |H(z, s)| per row: the residual every endpoint reports."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.abs(hom.value(z, s)).max(axis=1)
+
+
 def _rk4_predict(hom: TwoSystemHomotopy, z, s, ds):
     """One RK4 step of dz/ds from s to s + ds. Returns (z_pred, finite_mask)."""
     k1 = _tangent(hom, z, s)
@@ -203,37 +232,25 @@ def _rk4_predict(hom: TwoSystemHomotopy, z, s, ds):
     return np.where(ok[:, None], zp, z), ok
 
 
-def _correct(hom: TwoSystemHomotopy, z, s, tol, max_iters):
-    """Newton-correct each row at its fixed s.
+def _correct(hom: TwoSystemHomotopy, z, s, tol):
+    """Newton-correct each row at its fixed s, dropping rows as they settle.
 
-    Returns (z, iterations_to_converge, converged_mask, solve_failed_mask).
+    Returns (z, the iteration at which each row converged or 0, solve-failed
+    mask).  Only converged rows carry a meaningful z.
     """
-    b = z.shape[0]
-    iters = np.full(b, max_iters, dtype=int)
-    converged = np.zeros(b, dtype=bool)
-    solve_failed = np.zeros(b, dtype=bool)
-    for it in range(1, max_iters + 1):
-        live = ~converged & ~solve_failed
-        if not live.any():
+    iters = np.zeros(z.shape[0], dtype=int)
+    failed = np.zeros(z.shape[0], dtype=bool)
+    for it in range(1, _MAX_NEWTON + 1):
+        live = np.flatnonzero((iters == 0) & ~failed)
+        if live.size == 0:
             break
-        res = hom.value(z[live], s[live])
-        jac = hom.jacobian(z[live], s[live])
-        dz = _solve_rows(jac, -res)
-        bad = ~np.all(np.isfinite(dz.view(float)), axis=1)
-        dz = np.where(bad[:, None], 0.0, dz)
+        dz, bad, _ = _newton_step(hom, z[live], s[live])
         znew = z[live] + dz
-        step = np.linalg.norm(dz, axis=1)
-        scale = 1.0 + np.linalg.norm(znew, axis=1)
-        good = (step <= tol * scale) & ~bad
-        zl = z[live]
-        zl[~bad] = znew[~bad]
-        z[live] = zl
-        idx = np.flatnonzero(live)
-        newly = idx[good & (iters[idx] == max_iters)]
-        iters[newly] = it
-        converged[idx[good]] = True
-        solve_failed[idx[bad]] = True
-    return z, iters, converged, solve_failed
+        z[live] = znew
+        good = np.linalg.norm(dz, axis=1) <= tol * (1.0 + np.linalg.norm(znew, axis=1))
+        iters[live[good & ~bad]] = it
+        failed[live[bad]] = True
+    return z, iters, failed
 
 
 @dataclass
@@ -263,8 +280,7 @@ def _track(
     segment of the complex s-plane; with ``base``/``span`` omitted that is
     s = t, the ordinary run from s = 1 to s = 0.  Rows that arrive are
     Newton-refined at t = 0 and succeed when they pass the backward-error
-    test ``|H| <= ENDPOINT_TOL * (1 + |H_z|_inf)``, the scale
-    ``newton_refine`` uses.  The run also keeps, per row, the last two
+    test ``_backward_ok`` at ``ENDPOINT_TOL``.  The run also keeps, per row, the last two
     accepted points at which t fell below ``_CHECKPOINT_DROP`` times the
     previous checkpoint's t, latest first; the endgame restarts from one
     of them.
@@ -300,10 +316,8 @@ def _track(
         ds = -hcur if span is None else -hcur * span[act]
 
         zp, pred_ok = _rk4_predict(hom, z[act], s_at(act, t[act]), ds)
-        zc, iters, conv, solvefail = _correct(
-            hom, zp, s_at(act, tnew), cfg.newton_tol, _MAX_NEWTON
-        )
-        accepted = pred_ok & conv & ~solvefail
+        zc, iters, solvefail = _correct(hom, zp, s_at(act, tnew), cfg.newton_tol)
+        accepted = pred_ok & (iters > 0)
 
         ia = act[accepted]
         z[ia] = zc[accepted]
@@ -318,13 +332,12 @@ def _track(
         ck_z[1, renew], ck_t[1, renew] = ck_z[0, renew], ck_t[0, renew]
         ck_z[0, renew], ck_t[0, renew] = z[renew], t[renew]
 
-        ir = act[~accepted]
+        rejected = ~accepted
+        ir = act[rejected]
         h[ir] = 0.5 * h[ir]
-        under = ir[h[ir] < cfg.min_step]
-        badsolve = (~pred_ok | solvefail)[~accepted]
-        under_bad = ir[(h[ir] < cfg.min_step) & badsolve]
-        status[under] = STEP_LIMIT
-        status[under_bad] = SINGULAR
+        under = h[ir] < cfg.min_step
+        badsolve = (~pred_ok | solvefail)[rejected][under]
+        status[ir[under]] = np.where(badsolve, SINGULAR, STEP_LIMIT)
 
     # refine whoever reached t = 0
     residual = np.full(nb, np.inf)
@@ -335,37 +348,26 @@ def _track(
         s_end = s_at(done, np.zeros(done.size))
         prev_step = np.full(done.size, np.nan)
         for _ in range(refine_iters):
-            res = hom.value(zd, s_end)
-            jac = hom.jacobian(zd, s_end)
-            dz = _solve_rows(jac, -res)
-            bad = ~np.all(np.isfinite(dz.view(float)), axis=1)
-            dz = np.where(bad[:, None], 0.0, dz)
-            stepn = np.linalg.norm(dz, axis=1)
+            dz, _, jac = _newton_step(hom, zd, s_end)
+            stepn = np.linalg.norm(dz, axis=1)  # 0 where the solve failed
             with np.errstate(invalid="ignore", divide="ignore"):
                 ratio = stepn / prev_step
-            update = (stepn > 0.0) & ~bad
+            moved = stepn > 0.0
             contraction[done[np.isfinite(ratio)]] = ratio[np.isfinite(ratio)]
-            zd = np.where(update[:, None], zd + dz, zd)
-            prev_step = np.where(stepn > 0.0, stepn, prev_step)
+            zd = np.where(moved[:, None], zd + dz, zd)
+            prev_step = np.where(moved, stepn, prev_step)
         z[done] = zd
-        final = hom.value(zd, s_end)
+        residual[done] = _residual(hom, zd, s_end)
+        # the last polish step barely moved the point, so its Jacobian sets
+        # the scale
         with np.errstate(invalid="ignore"):
-            residual[done] = np.abs(final).max(axis=1)
-            # the last polish step barely moved the point, so its Jacobian
-            # sets the scale
-            scale = 1.0 + np.abs(jac).sum(axis=2).max(axis=1)
-            okall = residual[done] <= ENDPOINT_TOL * scale
-        status[done[okall]] = SUCCESS
-        status[done[~okall]] = SINGULAR
+            okall = _backward_ok(residual[done], jac, ENDPOINT_TOL)
+        status[done] = np.where(okall, SUCCESS, SINGULAR)
 
     # diagnostic residual at the final (z, s) for paths that never got there
     rest = np.flatnonzero(~np.isfinite(residual))
     if rest.size:
-        with np.errstate(invalid="ignore", over="ignore"):
-            vals = hom.value(z[rest], s_at(rest, t[rest]))
-            residual[rest] = np.abs(vals).max(axis=1)
-
-    status[status == _ACTIVE] = STEP_LIMIT
+        residual[rest] = _residual(hom, z[rest], s_at(rest, t[rest]))
     return _Legs(z, t, status, steps, residual, contraction, (ck_z, ck_t))
 
 
@@ -415,7 +417,7 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
         ok = legs.status == SUCCESS
         z[rows[ok]] = legs.z[ok]
         live[rows[~ok]] = False
-        return rows[ok]
+        return ok
 
     while live.any():
         rows = np.flatnonzero(live)
@@ -426,10 +428,9 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
         for turn in range(1, _ENDGAME_MAX_WINDING + 1):
             for k in range(_ENDGAME_SAMPLES):
                 rr = rows[looping]
-                kept = advance(
-                    rr, r[rr] * nodes[k + 1], r[rr] * (nodes[k] - nodes[k + 1])
-                )
-                looping = looping[np.isin(rr, kept)]
+                looping = looping[
+                    advance(rr, r[rr] * nodes[k + 1], r[rr] * (nodes[k] - nodes[k + 1]))
+                ]
                 total[looping] += z[rows[looping]]
             gap = np.linalg.norm(z[rows[looping]] - origin[looping], axis=1)
             closed = gap <= _ENDGAME_TOL * (1.0 + np.linalg.norm(origin[looping], axis=1))
@@ -471,10 +472,7 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
     endgame from their last checkpoint; the ones it finishes come back as
     finite ``SINGULAR`` endpoints carrying their winding number.
     """
-    z = np.array(starts, dtype=complex)
-    if z.ndim == 1:
-        z = z[None, :]
-    legs = _track(hom, z, cfg)
+    legs = _track(hom, starts, cfg)
     status, steps = legs.status, legs.steps
     final_s = legs.t.copy()
     winding = np.where(status == SUCCESS, 1, 0)
@@ -501,9 +499,7 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
         status[fin] = SINGULAR
         winding[fin] = turns[ok]
         final_s[fin] = 0.0
-        with np.errstate(invalid="ignore", over="ignore"):
-            vals = hom.value(legs.z[fin], np.zeros(fin.size))
-        legs.residual[fin] = np.abs(vals).max(axis=1)
+        legs.residual[fin] = _residual(hom, legs.z[fin], np.zeros(fin.size))
 
     return [
         TrackedEndpoint(
@@ -515,7 +511,7 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
             winding=int(winding[i]),
             final_s=float(final_s[i]),
         )
-        for i in range(z.shape[0])
+        for i in range(len(status))
     ]
 
 
@@ -545,24 +541,19 @@ class NewtonResult:
 def newton_refine(sys: SquareSystem, point, tol: float = 1e-12, max_iters: int = 20) -> NewtonResult:
     """Plain Newton iteration with contraction-rate diagnostics.
 
-    Convergence is judged on the backward-error scale ``|F(z)| <= tol * (1 +
-    |J(z)|)`` so that a point accurate to ``tol`` counts as converged even
+    Convergence is judged by the backward-error test ``_backward_ok`` at
+    ``tol``, so that a point accurate to ``tol`` counts as converged even
     when steep equations inflate the raw residual. ``quadratic`` is False
     when successive corrections shrink by a roughly constant factor instead
     of squaring, the signature of a multiple root.
     """
     z = np.asarray(point, dtype=complex).reshape(sys.dimension)
     steps: list[float] = []
-
-    def scaled_ok(res, jac):
-        scale = 1.0 + float(np.abs(jac).sum(axis=1).max())
-        return float(np.abs(res).max()) <= tol * scale
-
     iterations = 0
     for _ in range(max_iters):
         res = sys.evaluate(z)
         jac = sys.jacobian(z)
-        if scaled_ok(res, jac):
+        if _backward_ok(np.abs(res).max(), jac, tol):
             break
         dz = _solve_rows(jac[None], -res[None])[0]
         if not np.all(np.isfinite(dz.view(float))):
@@ -574,16 +565,17 @@ def newton_refine(sys: SquareSystem, point, tol: float = 1e-12, max_iters: int =
             break
     res = sys.evaluate(z)
     residual = float(np.abs(res).max())
-    converged = scaled_ok(res, sys.jacobian(z))
+    converged = bool(_backward_ok(residual, sys.jacobian(z), tol))
     ratios = [b / a for a, b in zip(steps, steps[1:]) if a > 0]
     contraction = ratios[-1] if ratios else 0.0
     quadratic = contraction < 0.1
     return NewtonResult(z, converged, residual, iterations, contraction, quadratic)
 
 
-def finite_difference_jacobian(sys: SquareSystem, point, h: float = 1e-7) -> np.ndarray:
+def finite_difference_jacobian(sys: SquareSystem, point) -> np.ndarray:
     """Central-difference Jacobian, for validating hand-written ones."""
     z = np.asarray(point, dtype=complex).reshape(sys.dimension)
+    h = 1e-7
     cols = []
     for m in range(sys.dimension):
         dz = np.zeros_like(z)
@@ -624,7 +616,12 @@ def total_degree_solve(
 
 
 def path_log_lines(endpoints: list[TrackedEndpoint]) -> list[str]:
-    """Machine-readable one-line-per-path summaries for --log output."""
+    """Machine-readable per-path summaries, one line per endpoint.
+
+    No command prints them yet; they are the per-path record that the
+    planned structured run log (steps, rejections, Newton counts) will
+    carry.
+    """
     return [
         f"path={i}\tsteps={e.steps}\tstatus={e.status}\tresidual={e.residual:.6e}"
         for i, e in enumerate(endpoints)

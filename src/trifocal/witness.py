@@ -376,17 +376,17 @@ def distinct_mask(rows: np.ndarray, tol: float) -> np.ndarray:
     return keep
 
 
-def merge_points(existing: np.ndarray, new: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Append rows of ``new`` farther than ``tol`` from every existing point
+def merge_points(existing: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Append rows of ``new`` farther than ``DEDUP_TOL`` from every existing point
     and from every earlier appended row (distance as in ``nearest``).
     Existing points keep their order and indices."""
     new = np.atleast_2d(np.asarray(new, dtype=complex))
     if existing is not None and len(existing):
         kept = np.atleast_2d(np.asarray(existing, dtype=complex))
-        new = new[nearest(new, kept)[0] > tol]
+        new = new[nearest(new, kept)[0] > DEDUP_TOL]
     else:
         kept = new[:0]
-    return np.concatenate([kept, new[distinct_mask(new, tol)]], axis=0)
+    return np.concatenate([kept, new[distinct_mask(new, DEDUP_TOL)]], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +605,11 @@ def run_trace_test(
 
 def trace_test(
     pws: PseudoWitnessSet,
-    direction_form=None,
     cfg=None,
     tol: float = TRACE_TOL,
     rng: np.random.Generator | None = None,
 ) -> TraceResult:
-    return run_trace_test(pws.variety, pws.slc, pws.points, cfg, direction_form, tol, rng=rng)
+    return run_trace_test(pws.variety, pws.slc, pws.points, cfg, tol=tol, rng=rng)
 
 
 # ---------------------------------------------------------------------------

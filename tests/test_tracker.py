@@ -293,3 +293,32 @@ def test_endgame_keeps_an_estimate_that_passes_aitken(floor, finished):
     if finished:
         assert winding[0] == 1
         assert abs(est[0, 0] + 1 / p) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# a path that stalls at min_step: which status names the cause
+# ---------------------------------------------------------------------------
+
+def line_path(slope):
+    """x - 1 to x - 2 with every Jacobian entry replaced by ``slope``."""
+    start = scalar_system(lambda x: x - 1.0, lambda x: slope)
+    target = scalar_system(lambda x: x - 2.0, lambda x: slope)
+    return tracker.track_path(start, target, [1.0])
+
+
+def test_stall_with_singular_jacobian_is_singular():
+    # every solve fails, so each step is rejected until h < min_step
+    end = line_path(0.0)
+    assert end.status == tracker.SINGULAR
+    assert end.winding == 0
+    assert end.final_s == 1.0
+    assert not end.finite
+    assert end.steps == 29  # 0.05 halved until below 1e-10
+
+
+def test_stall_with_wrong_finite_jacobian_is_step_limit():
+    # the solves succeed but the corrector never converges
+    end = line_path(1e-30)
+    assert end.status == tracker.STEP_LIMIT
+    assert end.final_s == 1.0
+    assert end.steps == 29
