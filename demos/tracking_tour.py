@@ -57,9 +57,10 @@ print("steps per path:", steps, "(the tracker halves/doubles its stride as neede
 # --- singular endpoints and the endgame -----------------------------------
 # x^2 - 1 deformed into x^2: both roots run into the double root x = 0 as
 # x(s) = sqrt(s), and the Jacobian vanishes there, so stepping stalls just
-# short of s = 0.  The Cauchy endgame circles s = 0 instead: the path
-# closes up after two windings (its cycle number) and the mean of the
-# samples is the endpoint.
+# short of s = 0.  The Cauchy endgame circles s = 0 instead, starting from
+# where the path entered the endgame zone s <= 1e-2: the path closes up
+# after two windings (its cycle number) and the mean of the samples is the
+# endpoint.
 def square_minus(c):
     return tracker.SquareSystem(
         1, lambda z: np.array([z[0] ** 2 - c]), lambda z: np.array([[2 * z[0]]])

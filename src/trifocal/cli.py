@@ -108,19 +108,28 @@ def witness_content_hash(doc: dict) -> str:
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     """Return the cached degree when ``path`` already holds a valid build."""
     try:
-        doc = _load_json(path)
+        meta, certified, digest = _load_json(path, _cache_fields)
     except CliError:
         _say(log, f"{path} is unreadable; rebuilding")
         return None
-    meta = doc.get("meta", {})
-    if meta.get("locus") != cfg.locus or not doc.get("certified"):
+    if meta.get("locus") != cfg.locus or not certified:
         return None
-    if meta.get("content_hash") != witness_content_hash(doc):
+    if meta.get("content_hash") != digest:
         _say(log, f"{path} failed its content-hash check; rebuilding")
         return None
     if meta.get("build_seed") != cfg.seed:
         _say(log, f"reusing {path} built with seed {meta.get('build_seed')}")
-    return int(meta["degree"])
+    return meta["degree"]
+
+
+def _cache_fields(doc: dict) -> tuple[dict, bool, str]:
+    """A witness document's meta, certified flag and content hash; KeyError,
+    TypeError or ValueError when one of them or ``meta.degree`` is
+    malformed."""
+    meta = doc["meta"]
+    if type(meta["degree"]) is not int:
+        raise ValueError(f"meta.degree is {meta['degree']!r}, not an integer")
+    return meta, bool(doc["certified"]), witness_content_hash(doc)
 
 
 def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:

@@ -10,20 +10,24 @@ Every homotopy is a ``TwoSystemHomotopy``, gamma * s * start + (1 - s) *
 target; its value and both partials read the (start, target) pair from
 ``systems``, the one method a subclass overrides (``witness.SliceHomotopy``
 evaluates the two sliced systems together).  The tracker evaluates a
-homotopy in three places only: ``_tangent`` (the predictor's dz/ds),
+homotopy in four places only: ``_tangent`` (the predictor's dz/ds),
 ``_newton_step`` (the one Newton correction, shared by the step corrector
-``_correct`` and the endpoint polish in ``_track``) and ``_residual`` (the
-residual an endpoint reports).  ``_backward_ok`` is the one backward-error
-test, used by ``_track`` and ``newton_refine``.
+``_correct`` and the endpoint polish in ``_track``), ``_residual`` (the
+residual an endpoint reports) and ``_cauchy_endgame``'s test that an
+estimate is a root.  ``_backward_ok`` is the one backward-error test, used
+by ``_track``, ``_cauchy_endgame`` and ``newton_refine``.
 
 Every path ends in one of four statuses:
 
 - ``SUCCESS``: it reached s = 0 and the Newton-polished endpoint passes the
   backward-error test (``_backward_ok`` at ``ENDPOINT_TOL``).
 - ``SINGULAR`` with ``winding >= 1``: it stalled below ``ENDGAME_ZONE`` (or
-  reached s = 0 at a point the test rejects) and the Cauchy endgame
-  finished it.  The endpoint is finite but singular; ``winding`` is the
-  estimated cycle number and ``final_s`` is 0.
+  reached s = 0 at a point the test rejects) and the Cauchy endgame,
+  started where the path entered the zone, finished it.  The endpoint is
+  finite but singular; ``winding`` is the estimated cycle number and
+  ``final_s`` is 0.  Where the endgame starts does not depend on how deep
+  the path stalled, which rounding decides; only the stall floors the
+  endgame's loop radii.
 - ``SINGULAR`` with ``winding == 0``, ``STEP_LIMIT`` or ``DIVERGED``: the
   path failed; ``final_s`` is where it stopped.
 
@@ -55,13 +59,10 @@ _MAX_STEPS = 3000  # a path still active after this many steps ends step-limit
 _DIVERGENCE_RADIUS = 1e8  # a path whose point grows past this norm ends diverged
 ENDPOINT_TOL = 1e-11  # the backward-error test's tolerance
 
-ENDGAME_ZONE = 1e-2  # paths that stall below this s go to the endgame
-_CHECKPOINT_DROP = 1e-2  # a new checkpoint each time s falls by this factor
+ENDGAME_ZONE = 1e-2  # a path stalled below this s gets an endgame, from where it entered
 _ENDGAME_SAMPLES = 8  # Cauchy samples per winding
 _ENDGAME_SHRINK = 0.25  # radius ratio between successive Cauchy loops
-_ENDGAME_START = 16.0  # the first loop starts at least this far above the stall
-_ENDGAME_FLOOR = 1.0  # loops stay above this multiple of the stall point
-_ENDGAME_MIN_RADIUS = 1e-12  # and never below this radius
+_ENDGAME_MIN_RADIUS = 1e-12  # loops stay above the stall point and this radius
 _ENDGAME_MAX_WINDING = 8
 _ENDGAME_TOL = 1e-8  # loop closure and agreement of successive estimates
 _ENDGAME_REFINE = 3  # Newton polish per sample
@@ -73,7 +74,8 @@ class SquareSystem:
 
     ``evaluate``/``jacobian`` act on a single point. The optional batched
     variants take (B, n) stacks; when absent the engine falls back to a
-    Python loop, which is fine for toy systems.
+    Python loop, which is fine for toy systems (an empty stack gives an
+    empty (0, n) or (0, n, n) result).
     """
 
     dimension: int
@@ -86,12 +88,19 @@ class SquareSystem:
     def value_at(self, points: np.ndarray) -> np.ndarray:
         if self.evaluate_batch is not None:
             return self.evaluate_batch(points)
-        return np.stack([self.evaluate(p) for p in points])
+        return _stack_rows(self.evaluate, points, (self.dimension,))
 
     def jacobian_at(self, points: np.ndarray) -> np.ndarray:
         if self.jacobian_batch is not None:
             return self.jacobian_batch(points)
-        return np.stack([self.jacobian(p) for p in points])
+        return _stack_rows(self.jacobian, points, (self.dimension, self.dimension))
+
+
+def _stack_rows(f, points: np.ndarray, shape: tuple) -> np.ndarray:
+    """f at each row of ``points``, stacked; (0, *shape) for no rows."""
+    if len(points) == 0:
+        return np.zeros((0, *shape), dtype=complex)
+    return np.stack([f(p) for p in points])
 
 
 @dataclass(frozen=True)
@@ -102,7 +111,8 @@ class TrackerConfig:
     (``witness.move_points`` splits the batch); 0 tracks them all at once.
     Path state is row-independent, but BLAS sums the batched products in
     an order that depends on the batch size, so the width moves endpoints
-    in their last bits and can change the fate of a near-singular path.
+    in their last bits.  How deep a near-singular path stalls depends on
+    those bits; where its endgame starts does not (``track_batch``).
     """
 
     initial_step: float = 0.05
@@ -263,7 +273,7 @@ class _Legs:
     steps: np.ndarray
     residual: np.ndarray
     contraction: np.ndarray
-    checkpoint: tuple[np.ndarray, np.ndarray]
+    zone: tuple[np.ndarray, np.ndarray]
 
 
 def _track(
@@ -280,10 +290,11 @@ def _track(
     segment of the complex s-plane; with ``base``/``span`` omitted that is
     s = t, the ordinary run from s = 1 to s = 0.  Rows that arrive are
     Newton-refined at t = 0 and succeed when they pass the backward-error
-    test ``_backward_ok`` at ``ENDPOINT_TOL``.  The run also keeps, per row, the last two
-    accepted points at which t fell below ``_CHECKPOINT_DROP`` times the
-    previous checkpoint's t, latest first; the endgame restarts from one
-    of them.
+    test ``_backward_ok`` at ``ENDPOINT_TOL``.  The run also keeps, per
+    row, the first accepted point with t <= ``ENDGAME_ZONE`` and its t
+    (``zone``; the start point and t = 1 for a row that never got there):
+    the point where the path entered the endgame zone, from which
+    ``track_batch`` starts the endgame.
     """
     z = np.array(starts, dtype=complex)
     nb = z.shape[0]
@@ -296,9 +307,7 @@ def _track(
     fast = np.zeros(nb, dtype=int)
     steps = np.zeros(nb, dtype=int)
     status = np.array([_ACTIVE] * nb, dtype=object)
-    # [latest, previous] checkpoint points and their t values
-    ck_z = np.stack([z, z])
-    ck_t = np.ones((2, nb))
+    zone_z, zone_t = z.copy(), t.copy()
 
     while True:
         act = np.flatnonzero((status == _ACTIVE) & (t > 0.0))
@@ -328,9 +337,8 @@ def _track(
         fast[grow] = 0
         blown = ia[np.linalg.norm(z[ia], axis=1) > _DIVERGENCE_RADIUS]
         status[blown] = DIVERGED
-        renew = ia[t[ia] < _CHECKPOINT_DROP * ck_t[0, ia]]
-        ck_z[1, renew], ck_t[1, renew] = ck_z[0, renew], ck_t[0, renew]
-        ck_z[0, renew], ck_t[0, renew] = z[renew], t[renew]
+        entered = ia[(zone_t[ia] > ENDGAME_ZONE) & (t[ia] <= ENDGAME_ZONE)]
+        zone_z[entered], zone_t[entered] = z[entered], t[entered]
 
         rejected = ~accepted
         ir = act[rejected]
@@ -368,7 +376,7 @@ def _track(
     rest = np.flatnonzero(~np.isfinite(residual))
     if rest.size:
         residual[rest] = _residual(hom, z[rest], s_at(rest, t[rest]))
-    return _Legs(z, t, status, steps, residual, contraction, (ck_z, ck_t))
+    return _Legs(z, t, status, steps, residual, contraction, (zone_z, zone_t))
 
 
 def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
@@ -383,16 +391,19 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
     stay inside the annulus, so they continue the same branch).  The
     radius shrinks by ``_ENDGAME_SHRINK`` between loops until two
     successive estimates agree to ``_ENDGAME_TOL`` (relative), or it would
-    drop below ``_ENDGAME_FLOOR`` times ``floor[i]``, the s at which
-    ordinary tracking stalled (and never below ``_ENDGAME_MIN_RADIUS``).
-    A loop that has not closed after ``_ENDGAME_MAX_WINDING`` windings
-    encloses other branch points; it gives no estimate and the radius
-    shrinks.  A row stops when a chord or a shrink segment fails to track,
-    or when it runs out of radius before two estimates agree.  It still
-    finishes when its last estimate passes Aitken's error test: with the
-    last two differences d' and d of successive estimates, d^2 / d' is
-    within ``_ENDGAME_TOL`` (relative; under the trapezoid rule's geometric
-    convergence that is the estimate's remaining error); else it fails.
+    drop below ``floor[i]``, the s at which ordinary tracking stalled (and
+    never below ``_ENDGAME_MIN_RADIUS``).  A loop that has not closed after
+    ``_ENDGAME_MAX_WINDING`` windings encloses other branch points; it
+    gives no estimate and the radius shrinks.  A loop that closes round a
+    second branch point as well averages two endpoints, and two such loops
+    can agree; so an estimate counts only when it passes the backward-error
+    test ``_backward_ok`` at s = 0 and ``_ENDGAME_TOL``.  A row stops when
+    a chord or a shrink segment fails to track, or when it runs out of
+    radius before two estimates agree.  It still finishes when its last
+    estimate passes Aitken's error test: with the last two differences d'
+    and d of successive estimates, d^2 / d' is within ``_ENDGAME_TOL``
+    (relative; under the trapezoid rule's geometric convergence that is the
+    estimate's remaining error); else it fails.
 
     Returns (endpoints, winding numbers, converged mask, steps taken).
     """
@@ -448,14 +459,16 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
         done = rows[closed]
         diff = np.linalg.norm(new - estimate[done], axis=1)
         tol = _ENDGAME_TOL * (1.0 + np.linalg.norm(new, axis=1))
-        agree = (winding[done] > 0) & (diff <= tol)
-        aitken = diff * diff <= last_diff[done] * tol
+        at0 = np.zeros(done.size)
+        root = _backward_ok(_residual(hom, new, at0), hom.jacobian(new, at0), _ENDGAME_TOL)
+        agree = root & (winding[done] > 0) & (diff <= tol)
+        aitken = root & (diff * diff <= last_diff[done] * tol)
         converged[done], last_diff[done] = agree | aitken, diff
         estimate[done], winding[done] = new, wound[closed]
         live[done[agree]] = False
         rows = rows[live[rows]]
         inner = r[rows] * _ENDGAME_SHRINK
-        too_deep = inner < np.maximum(_ENDGAME_FLOOR * floor[rows], _ENDGAME_MIN_RADIUS)
+        too_deep = inner < np.maximum(floor[rows], _ENDGAME_MIN_RADIUS)
         live[rows[too_deep]] = False
         rows, inner = rows[~too_deep], inner[~too_deep]
         if rows.size:
@@ -469,8 +482,10 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
 
     Paths that stop short of s = 0 below ``ENDGAME_ZONE`` (or arrive there
     at a point the backward-error test rejects) are handed to the Cauchy
-    endgame from their last checkpoint; the ones it finishes come back as
-    finite ``SINGULAR`` endpoints carrying their winding number.
+    endgame, which starts from the point where the path entered the zone
+    (its first accepted point with s <= ``ENDGAME_ZONE``), however deep it
+    later stalled; the ones it finishes come back as finite ``SINGULAR``
+    endpoints carrying their winding number.
     """
     legs = _track(hom, starts, cfg)
     status, steps = legs.status, legs.steps
@@ -482,16 +497,9 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
         & np.all(np.isfinite(legs.z.view(float)), axis=1)
     )
     if stalled.size:
-        # restart from the latest checkpoint that lies well above the stall
-        ck_z, ck_t = legs.checkpoint
-        older = ck_t[0, stalled] < _ENDGAME_START * final_s[stalled]
-        pick = older.astype(int)
+        zone_z, zone_t = legs.zone
         points, turns, ok, extra = _cauchy_endgame(
-            hom,
-            ck_z[pick, stalled],
-            ck_t[pick, stalled],
-            final_s[stalled],
-            cfg,
+            hom, zone_z[stalled], zone_t[stalled], final_s[stalled], cfg
         )
         steps[stalled] += extra
         fin = stalled[ok]

@@ -106,9 +106,10 @@ def _sliced(var: ParametrizedVariety, slices, params, derivative: bool = False) 
 
     On a projective variety chart(f) = chart @ f, so the slice is the one
     matrix rows - constants (x) chart; on an affine one chart(f) = 1 and the
-    constants shift the values.  Each slice takes its own product: stacking
-    the rows would change the BLAS summation order of the values and, with
-    it, the fate of near-singular paths."""
+    constants shift the values.  Each slice takes its own product, so a
+    slice's values are bit for bit those of ``sliced_square_system``;
+    stacking the rows into one product sums in another BLAS order and
+    moves endpoints in their last bits."""
     p = np.asarray(params, dtype=complex)
     if var.chart is None:
         mats, shifts = [slc.rows for slc in slices], [slc.constants for slc in slices]
@@ -406,8 +407,9 @@ def move_points(
     Paths advance in chunks of ``cfg.width`` (0: all at once); ``width``,
     when given, overrides it for this call.  Path state is row-independent,
     but BLAS sums the batched products in a size-dependent order, so
-    chunking moves endpoints in their last bits and can change whether a
-    near-singular path finishes.
+    chunking moves endpoints in their last bits; the endgame starts each
+    near-singular path where it entered ``tracker.ENDGAME_ZONE``, however
+    deep those bits make it stall.
     """
     cfg = cfg or tracker.TrackerConfig()
     width = cfg.width if width is None else width

@@ -160,6 +160,21 @@ def test_locus_mismatch_is_not_reused(tmp_path):
     assert cli._reusable_witness(out, cfg, None) is None
 
 
+@pytest.mark.parametrize("degree", [None, "seven", 7.5])
+def test_malformed_degree_is_rebuilt(tmp_path, degree):
+    out = tmp_path / "w.json"
+    doc = make_fake_witness(out)
+    if degree is None:
+        del doc["meta"]["degree"]
+    else:
+        doc["meta"]["degree"] = degree
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    said = []
+    cfg = cli.RunConfig(command="witness")
+    assert cli._reusable_witness(out, cfg, said.append) is None
+    assert said == [f"{out} is unreadable; rebuilding"]
+
+
 def test_uncertified_witness_rejected_by_solve(tmp_path):
     out = tmp_path / "w.json"
     make_fake_witness(out, certified=False)

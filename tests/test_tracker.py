@@ -247,6 +247,13 @@ def test_batched_system_matches_single():
         assert np.allclose(jacs[i], sys.jacobian(p))
 
 
+def test_empty_stack_without_batch_callables():
+    sys = unit_box_system()
+    empty = np.zeros((0, 2), dtype=complex)
+    assert sys.value_at(empty).shape == (0, 2)
+    assert sys.jacobian_at(empty).shape == (0, 2, 2)
+
+
 def test_path_log_lines_format():
     ends = tracker.total_degree_solve(unit_box_system(), [2, 2])
     lines = tracker.path_log_lines(ends)
@@ -293,6 +300,45 @@ def test_endgame_keeps_an_estimate_that_passes_aitken(floor, finished):
     if finished:
         assert winding[0] == 1
         assert abs(est[0, 0] + 1 / p) <= 1e-10
+
+
+def test_endgame_rejects_an_estimate_that_is_not_a_root():
+    """z^2 = 1 - s / s* has a branch point at s* (|s*| = 0.06) and regular
+    endpoints z = +-1 at s = 0.  Loops of radius 0.5 and 0.125 enclose s*,
+    close after two windings, and their estimates both average the two
+    endpoints to 0, so they agree; the root test must discard them and
+    keep shrinking until a loop encloses s = 0 alone."""
+    s_star = 0.06 * np.exp(2j)
+    start = scalar_system(lambda z: z * z - (1 - 1 / s_star), lambda z: 2 * z)
+    target = quadric_minus(1.0)
+    hom = tracker.TwoSystemHomotopy(start, target, 1.0)
+    z0 = np.array([[np.sqrt(1 - 0.5 / s_star)]])
+    est, winding, ok, _ = tracker._cauchy_endgame(
+        hom, z0, np.array([0.5]), np.array([1e-12]), tracker.TrackerConfig()
+    )
+    assert ok[0]
+    assert winding[0] == 1
+    assert abs(abs(est[0, 0]) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "degree, min_steps", [(2, (1e-10, 1e-12)), (3, (1e-10, 1e-12, 1e-14))]
+)
+def test_endgame_result_does_not_depend_on_stall_depth(degree, min_steps):
+    """x^d - 1 to x^d: every path ends at the d-fold root 0 with cycle
+    number d.  A smaller min_step lets the path stall deeper, but the
+    endgame starts where the path entered the zone, so the endpoint is
+    the same to the last bit."""
+    start = scalar_system(lambda x: x**degree - 1.0, lambda x: degree * x ** (degree - 1))
+    target = scalar_system(lambda x: x**degree, lambda x: degree * x ** (degree - 1))
+    cfgs = [tracker.TrackerConfig(min_step=m) for m in min_steps]
+    ends = [tracker.track_path(start, target, [1.0], cfg) for cfg in cfgs]
+    for end in ends:
+        assert end.status == tracker.SINGULAR
+        assert end.winding == degree
+        assert end.finite
+        assert abs(end.point[0]) <= 1e-8
+    assert len({end.point.tobytes() for end in ends}) == 1
 
 
 # ---------------------------------------------------------------------------
