@@ -12,6 +12,7 @@ solution candidates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -87,21 +88,26 @@ def _rotations(q: np.ndarray) -> np.ndarray:
 
 
 # Polarization: _rotations(q) = sum_mn q_m q_n K[m, n] with K symmetric, so
-# 2K[m, n] = R(e_m + e_n) - R(e_m) - R(e_n) for the unit vectors e, and
-# dR/dq_m = 2 sum_n K[m, n] q_n is q @ (2K as 4 x 36) in the (..., 4, 3, 3) layout
+# 2K[m, n] = R(e_m + e_n) - R(e_m) - R(e_n) for the unit vectors e.  Then
+# dR/dq_m = 2 sum_n K[m, n] q_n, and R itself is K applied to q (x) q.  Both
+# matrices act on quaternions stored as columns: (2K as 36 x 4) @ q and
+# (K as 9 x 16) @ (q (x) q).
 _UNIT = _rotations(np.eye(4))
-_ROTATION_DERIVATIVE = (
-    _rotations(np.eye(4)[:, None] + np.eye(4)[None, :]) - _UNIT[:, None] - _UNIT[None, :]
-).real.reshape(4, 36)
+_POLAR = _rotations(np.eye(4)[:, None] + np.eye(4)[None, :]) - _UNIT[:, None] - _UNIT[None, :]
+_ROTATION_DERIVATIVE = _POLAR.transpose(0, 2, 3, 1).reshape(36, 4)
+_ROTATION_QUADRATIC = 0.5 * _POLAR.reshape(16, 9).T.copy()
 
 
 def _rotation_derivatives(q: np.ndarray) -> np.ndarray:
     """Partials of _rotations w.r.t. the four quaternion coordinates.
 
-    Returns shape (..., 4, 3, 3): index m is the derivative in q_m. The
-    Euler identity R = (1/2) sum_m q_m dR/dq_m holds since R is quadratic.
+    ``q`` holds quaternions as columns: shape (4,) gives (4, 3, 3) and
+    (..., 4, N) gives (..., 4, 3, 3, N), index m the derivative in q_m.
+    The Euler identity R = (1/2) sum_m q_m dR/dq_m holds since R is
+    quadratic.
     """
-    return (q @ _ROTATION_DERIVATIVE).reshape(q.shape[:-1] + (4, 3, 3))
+    d = _ROTATION_DERIVATIVE @ q
+    return d.reshape(q.shape[:-2] + (4, 3, 3) + q.shape[-1:] if q.ndim > 1 else (4, 3, 3))
 
 
 def quaternion_rotation(q) -> np.ndarray:
@@ -266,16 +272,43 @@ def random_configuration(rng: np.random.Generator, real: bool = False) -> Calibr
     return CalibratedConfiguration(q2=q2, q3=q3, t2=t2, t3=t3)
 
 
-def _unpack(p: np.ndarray):
-    """(params as a (B, 13) stack, whether the input was 1-D, q2, q3, t2, t3)
-    with t2 completed by its fixed last coordinate 1."""
+# The tensor kernels work on parameters stored as columns, a (13, B) stack,
+# so that every elementwise product runs along the batch; they return their
+# (B, 27) and (B, 27, 13) results as transposed views of that layout.
+
+def _columns(p) -> tuple[np.ndarray, tuple]:
+    """(the parameters as a contiguous (13, B) column stack, the batch shape)."""
     pp = np.asarray(p, dtype=complex)
-    squeeze = pp.ndim == 1
-    if squeeze:
-        pp = pp[None]
-    ones = np.ones(pp.shape[:-1] + (1,), dtype=complex)
-    t2 = np.concatenate([pp[..., 8:10], ones], axis=-1)
-    return pp, squeeze, pp[..., 0:4], pp[..., 4:8], t2, pp[..., 10:13]
+    return np.ascontiguousarray(pp.reshape(-1, 13).T), pp.shape[:-1]
+
+
+def _rotation_pairs(pc: np.ndarray) -> np.ndarray:
+    """(2, 3, 3, B): R(q2) and R(q3) of a (13, B) column stack, from one
+    product of the quaternions' outer squares with the quadratic form."""
+    q = pc[0:8].reshape(2, 4, -1)
+    squares = (q[:, :, None] * q[:, None]).reshape(2, 16, -1)
+    return (_ROTATION_QUADRATIC @ squares).reshape(2, 3, 3, -1)
+
+
+def _second_translations(pc: np.ndarray, sign: float) -> np.ndarray:
+    """(3, B): sign * t2 of a (13, B) column stack, its fixed last
+    coordinate 1 included."""
+    t2 = np.empty((3, pc.shape[1]), dtype=complex)
+    np.multiply(pc[8:10], sign, out=t2[0:2])
+    t2[2] = sign
+    return t2
+
+
+def _batch_first(a: np.ndarray, batch: tuple, shape: tuple) -> np.ndarray:
+    """The (*shape, B) result ``a`` as a (*batch, *shape) view."""
+    return a.reshape(math.prod(shape), -1).T.reshape(batch + shape)
+
+
+# The translation blocks of the Jacobian: d/dt2_jj (free jj = 0, 1) of
+# -t2[j] R3[k, i] is -R3[k, i] on j = jj, and d/dt3_kk of R2[j, i] t3[k]
+# is R2[j, i] on k = kk; these are entries [j, jj] and [k, kk]
+_T2_COLUMNS = -np.eye(3, 2, dtype=complex)
+_T3_COLUMNS = np.eye(3, dtype=complex)
 
 
 def tensor_from_params(p: np.ndarray) -> np.ndarray:
@@ -285,31 +318,30 @@ def tensor_from_params(p: np.ndarray) -> np.ndarray:
     T[i, j, k] = R2[j, i] t3[k] - t2[j] R3[k, i], cubic in the parameters.
     Flattening is row-major over (i, j, k).
     """
-    pp, squeeze, q2, q3, t2, t3 = _unpack(p)
-    r2, r3 = _rotations(q2), _rotations(q3)
-    t = np.einsum("...ji,...k->...ijk", r2, t3) - np.einsum("...j,...ki->...ijk", t2, r3)
-    flat = t.reshape(pp.shape[:-1] + (27,))
-    return flat[0] if squeeze else flat
+    pc, batch = _columns(p)
+    r = _rotation_pairs(pc).transpose(0, 2, 1, 3)  # [R2 or R3, i, j or k, b]
+    t = r[0, :, :, None] * pc[10:13]  # [i, j, k, b]
+    t -= _second_translations(pc, 1.0)[:, None] * r[1, :, None]
+    return _batch_first(t, batch, (27,))
 
 
 def tensor_jacobian_params(p: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of tensor_from_params: (..., 13) -> (..., 27, 13)."""
-    pp, squeeze, q2, q3, t2, t3 = _unpack(p)
-    batch = pp.shape[:-1]
-    jac = np.zeros(batch + (3, 3, 3, 13), dtype=complex)
-    # quaternion blocks
-    jac[..., 0:4] = np.einsum("...mji,...k->...ijkm", _rotation_derivatives(q2), t3)
-    jac[..., 4:8] = -np.einsum("...j,...mki->...ijkm", t2, _rotation_derivatives(q3))
-    # translation t2 (free coordinates j = 0, 1): R3[k, i]
-    r3t = np.swapaxes(_rotations(q3), -1, -2)
-    jac[..., :, 0, :, 8] = -r3t
-    jac[..., :, 1, :, 9] = -r3t
-    # translation t3 (coordinate k = m): R2[j, i]
-    r2t = np.swapaxes(_rotations(q2), -1, -2)
-    for m in range(3):
-        jac[..., :, :, m, 10 + m] = r2t
-    out = jac.reshape(batch + (27, 13))
-    return out[0] if squeeze else out
+    """Analytic Jacobian of tensor_from_params: (..., 13) -> (..., 27, 13).
+
+    Each of the four parameter blocks (q2, q3, the free t2, t3) is one
+    broadcast product written straight into the result.
+    """
+    pc, batch = _columns(p)
+    r = _rotation_pairs(pc).transpose(0, 2, 1, 3)  # [R2 or R3, i, j or k, b]
+    q = pc[0:8].reshape(2, 4, -1)
+    d = _rotation_derivatives(q).transpose(0, 3, 2, 1, 4)  # [R2 or R3, i, j or k, m, b]
+    jac = np.empty((3, 3, 3, 13, pc.shape[1]), dtype=complex)  # [i, j, k, parameter, b]
+    np.multiply(d[0, :, :, None], pc[10:13, None], out=jac[:, :, :, 0:4])
+    minus_t2 = _second_translations(pc, -1.0)
+    np.multiply(minus_t2[:, None, None], d[1, :, None], out=jac[:, :, :, 4:8])
+    np.multiply(r[1, :, None, :, None], _T2_COLUMNS[:, None, :, None], out=jac[:, :, :, 8:10])
+    np.multiply(r[0, :, :, None, None], _T3_COLUMNS[:, :, None], out=jac[:, :, :, 10:13])
+    return _batch_first(jac, batch, (27, 13))
 
 
 def configuration_tensor(cfg: CalibratedConfiguration) -> np.ndarray:

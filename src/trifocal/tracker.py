@@ -9,13 +9,21 @@ same engine.
 Every homotopy is a ``TwoSystemHomotopy``, gamma * s * start + (1 - s) *
 target; its value and both partials read the (start, target) pair from
 ``systems``, the one method a subclass overrides (``witness.SliceHomotopy``
-evaluates the two sliced systems together).  The tracker evaluates a
-homotopy in four places only: ``_tangent`` (the predictor's dz/ds),
-``_newton_step`` (the one Newton correction, shared by the step corrector
-``_correct`` and the endpoint polish in ``_track``), ``_residual`` (the
-residual an endpoint reports) and ``_cauchy_endgame``'s test that an
-estimate is a root.  ``_backward_ok`` is the one backward-error test, used
-by ``_track``, ``_cauchy_endgame`` and ``newton_refine``.
+evaluates the two sliced systems together).  ``systems`` returns two new
+complex arrays on every call, and only the homotopy that asked for them
+writes into them: ``value``, ``jacobian`` and ``s_partial`` combine the
+pair in place and return the start array, so an evaluation allocates no
+temporary the size of its result.  The base class therefore copies what
+its ``SquareSystem`` callables return, since those may hand out a cached
+or real array; a subclass must never return an array someone else holds.
+
+The tracker evaluates a homotopy in four places only: ``_tangent`` (the
+predictor's dz/ds), ``_newton_step`` (the one Newton correction, shared by
+the step corrector ``_correct`` and the endpoint polish in ``_track``),
+``_residual`` (the residual an endpoint reports) and ``_cauchy_endgame``'s
+test that an estimate is a root.  ``_backward_ok`` is the one
+backward-error test, used by ``_track``, ``_cauchy_endgame`` and
+``newton_refine``.
 
 Every path ends in one of four statuses:
 
@@ -40,7 +48,7 @@ and charge only the failed ones against their failure budget
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -108,11 +116,12 @@ class TrackerConfig:
     """Step control, tolerances and batching for one tracking run.
 
     ``width`` > 0 advances at most that many paths in lockstep per chunk
-    (``witness.move_points`` splits the batch); 0 tracks them all at once.
-    Path state is row-independent, but BLAS sums the batched products in
-    an order that depends on the batch size, so the width moves endpoints
-    in their last bits.  How deep a near-singular path stalls depends on
-    those bits; where its endgame starts does not (``track_batch``).
+    (``track_batch`` splits the batch, then runs one endgame over the
+    stalled paths of all chunks); 0 tracks them all at once.  Path state is
+    row-independent, but BLAS sums the batched products in an order that
+    depends on the batch size, so the width moves endpoints in their last
+    bits.  How deep a near-singular path stalls depends on those bits;
+    where its endgame starts does not (``track_batch``).
     """
 
     initial_step: float = 0.05
@@ -169,22 +178,34 @@ class TwoSystemHomotopy:
         self.dimension = start.dimension
 
     def systems(self, z: np.ndarray, derivative: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(start, target) values at the (B, n) stack ``z``, or Jacobians."""
+        """(start, target) values at the (B, n) stack ``z``, or Jacobians,
+        as two new complex arrays that the caller may overwrite."""
         if derivative:
-            return self.start.jacobian_at(z), self.target.jacobian_at(z)
-        return self.start.value_at(z), self.target.value_at(z)
+            pair = self.start.jacobian_at(z), self.target.jacobian_at(z)
+        else:
+            pair = self.start.value_at(z), self.target.value_at(z)
+        return tuple(np.array(a, dtype=complex) for a in pair)
+
+    def _combined(self, z, s, derivative: bool = False):
+        """gamma * s * start + (1 - s) * target, formed in the start array."""
+        start, target = self.systems(z, derivative)
+        c = s.reshape(s.shape + (1,) * (start.ndim - 1))
+        start *= self.gamma * c
+        target *= 1.0 - c
+        start += target
+        return start
 
     def value(self, z, s):
-        start, target = self.systems(z)
-        return (self.gamma * s)[:, None] * start + (1.0 - s)[:, None] * target
+        return self._combined(z, s)
 
     def jacobian(self, z, s):
-        start, target = self.systems(z, derivative=True)
-        return (self.gamma * s)[:, None, None] * start + (1.0 - s)[:, None, None] * target
+        return self._combined(z, s, derivative=True)
 
     def s_partial(self, z, s):
         start, target = self.systems(z)
-        return self.gamma * start - target
+        start *= self.gamma
+        start -= target
+        return start
 
 
 def _solve_rows(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -193,7 +214,7 @@ def _solve_rows(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
         out = np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
+        out = np.full(rhs.shape, np.nan, dtype=rhs.dtype)
         for i in range(mats.shape[0]):
             try:
                 out[i] = np.linalg.solve(mats[i], rhs[i])
@@ -254,7 +275,7 @@ def _correct(hom: TwoSystemHomotopy, z, s, tol):
         live = np.flatnonzero((iters == 0) & ~failed)
         if live.size == 0:
             break
-        dz, bad, _ = _newton_step(hom, z[live], s[live])
+        dz, bad = _newton_step(hom, z[live], s[live])[:2]  # H_z must not outlive the step
         znew = z[live] + dz
         z[live] = znew
         good = np.linalg.norm(dz, axis=1) <= tol * (1.0 + np.linalg.norm(znew, axis=1))
@@ -273,7 +294,8 @@ class _Legs:
     steps: np.ndarray
     residual: np.ndarray
     contraction: np.ndarray
-    zone: tuple[np.ndarray, np.ndarray]
+    zone_z: np.ndarray
+    zone_t: np.ndarray
 
 
 def _track(
@@ -292,9 +314,9 @@ def _track(
     Newton-refined at t = 0 and succeed when they pass the backward-error
     test ``_backward_ok`` at ``ENDPOINT_TOL``.  The run also keeps, per
     row, the first accepted point with t <= ``ENDGAME_ZONE`` and its t
-    (``zone``; the start point and t = 1 for a row that never got there):
-    the point where the path entered the endgame zone, from which
-    ``track_batch`` starts the endgame.
+    (``zone_z``, ``zone_t``; the start point and t = 1 for a row that never
+    got there): the point where the path entered the endgame zone, from
+    which ``track_batch`` starts the endgame.
     """
     z = np.array(starts, dtype=complex)
     nb = z.shape[0]
@@ -376,7 +398,7 @@ def _track(
     rest = np.flatnonzero(~np.isfinite(residual))
     if rest.size:
         residual[rest] = _residual(hom, z[rest], s_at(rest, t[rest]))
-    return _Legs(z, t, status, steps, residual, contraction, (zone_z, zone_t))
+    return _Legs(z, t, status, steps, residual, contraction, zone_z, zone_t)
 
 
 def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
@@ -478,16 +500,22 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
 
 
 def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) -> list[TrackedEndpoint]:
-    """Track every row of ``starts`` from s = 1 to s = 0 in lockstep.
+    """Track every row of ``starts`` from s = 1 to s = 0.
 
-    Paths that stop short of s = 0 below ``ENDGAME_ZONE`` (or arrive there
-    at a point the backward-error test rejects) are handed to the Cauchy
-    endgame, which starts from the point where the path entered the zone
-    (its first accepted point with s <= ``ENDGAME_ZONE``), however deep it
-    later stalled; the ones it finishes come back as finite ``SINGULAR``
-    endpoints carrying their winding number.
+    Rows advance in lockstep, in chunks of ``cfg.width`` rows (0: all of
+    them at once).  Paths that stop short of s = 0 below ``ENDGAME_ZONE``
+    (or arrive there at a point the backward-error test rejects) are then
+    handed, from every chunk together, to one Cauchy endgame, which starts
+    from the point where the path entered the zone (its first accepted
+    point with s <= ``ENDGAME_ZONE``), however deep it later stalled; the
+    ones it finishes come back as finite ``SINGULAR`` endpoints carrying
+    their winding number.
     """
-    legs = _track(hom, starts, cfg)
+    width = cfg.width or max(1, len(starts))
+    chunks = [
+        _track(hom, starts[lo : lo + width], cfg) for lo in range(0, max(1, len(starts)), width)
+    ]
+    legs = _Legs(*(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(_Legs)))
     status, steps = legs.status, legs.steps
     final_s = legs.t.copy()
     winding = np.where(status == SUCCESS, 1, 0)
@@ -497,9 +525,8 @@ def track_batch(hom: TwoSystemHomotopy, starts: np.ndarray, cfg: TrackerConfig) 
         & np.all(np.isfinite(legs.z.view(float)), axis=1)
     )
     if stalled.size:
-        zone_z, zone_t = legs.zone
         points, turns, ok, extra = _cauchy_endgame(
-            hom, zone_z[stalled], zone_t[stalled], final_s[stalled], cfg
+            hom, legs.zone_z[stalled], legs.zone_t[stalled], final_s[stalled], cfg
         )
         steps[stalled] += extra
         fin = stalled[ok]

@@ -99,28 +99,52 @@ class ParametrizedVariety:
         return self.param_dim - self.fixed_count
 
 
-def _sliced(var: ParametrizedVariety, slices, params, derivative: bool = False) -> list:
-    """Each slice's square system {rows @ f - constants * chart(f)} +
-    {fixed equations} at the (B, n) stack ``params``, or its Jacobian when
-    ``derivative``, all from one evaluation f of the image (of its Jacobian).
+def _slice_matrix(var: ParametrizedVariety, slices) -> tuple[np.ndarray, np.ndarray | None]:
+    """The conditions of ``slices`` as one stacked matrix acting on the
+    image, and the constants their values shift by (None on a projective
+    variety).
 
-    On a projective variety chart(f) = chart @ f, so the slice is the one
-    matrix rows - constants (x) chart; on an affine one chart(f) = 1 and the
-    constants shift the values.  Each slice takes its own product, so a
-    slice's values are bit for bit those of ``sliced_square_system``;
-    stacking the rows into one product sums in another BLAS order and
-    moves endpoints in their last bits."""
-    p = np.asarray(params, dtype=complex)
+    A slice asks rows @ f = constants * chart(f).  On a projective variety
+    chart(f) = chart @ f, so its matrix is rows - constants (x) chart; on an
+    affine one chart(f) = 1 and the constants shift the values."""
     if var.chart is None:
-        mats, shifts = [slc.rows for slc in slices], [slc.constants for slc in slices]
-    else:
-        mats = [slc.rows - np.outer(slc.constants, var.chart) for slc in slices]
-        shifts = [0.0] * len(slices)
+        shifts = np.concatenate([slc.constants for slc in slices])[:, None]
+        return np.concatenate([slc.rows for slc in slices]), shifts
+    return np.concatenate([slc.rows - np.outer(slc.constants, var.chart) for slc in slices]), None
+
+
+def _sliced(var: ParametrizedVariety, mats, shifts, params, derivative: bool = False) -> list:
+    """The square system {slice conditions on f} + {fixed equations} of
+    every slice stacked in ``mats`` (and ``shifts``, from ``_slice_matrix``)
+    at the (B, n) stack ``params``, or its Jacobian when ``derivative``.
+
+    One evaluation f of the image (of its Jacobian) and one product with
+    the stacked matrix give all of them.  The product runs on the image
+    Jacobian as a (m, n * B) matrix, one BLAS call for the whole batch, so
+    the systems are built batch-last: each is a new (n, B) or (n, n, B)
+    array, returned as a (B, n) or (B, n, n) view that its caller may
+    overwrite."""
+    p = np.asarray(params, dtype=complex)
+    b, n = p.shape[0], var.param_dim
     if derivative:
-        f, fixed = var.image_jacobian(p), var.fixed_jacobian(p)
-        return [np.concatenate([m @ f, fixed], axis=1) for m in mats]
-    f, fixed = var.image(p), var.fixed_values(p)
-    return [np.concatenate([f @ m.T - c, fixed], axis=1) for m, c in zip(mats, shifts)]
+        # no name holds the image Jacobian, so it is freed once the product
+        # is taken, before the systems are allocated
+        products = mats @ var.image_jacobian(p).transpose(1, 2, 0).reshape(var.image_dim, n * b)
+        products = products.reshape(mats.shape[0], n, b)
+        fixed = var.fixed_jacobian(p).transpose(1, 2, 0)
+    else:
+        products = mats @ var.image(p).T
+        if shifts is not None:
+            products -= shifts
+        fixed = var.fixed_values(p).T
+    k = var.slice_rows_needed
+    systems = []
+    for lo in range(0, products.shape[0], k):
+        system = np.empty((n,) + products.shape[1:], dtype=complex)
+        system[:k] = products[lo : lo + k]
+        system[k:] = fixed
+        systems.append(system.transpose(-1, *range(system.ndim - 1)))
+    return systems
 
 
 def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
@@ -131,9 +155,10 @@ def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
             f"slice must be {var.slice_rows_needed}x{var.image_dim} for {var.name}, "
             f"got {slc.rows.shape}"
         )
+    mats, shifts = _slice_matrix(var, (slc,))
 
     def at(points, derivative=False):
-        return _sliced(var, (slc,), points, derivative)[0]
+        return _sliced(var, mats, shifts, points, derivative)[0]
 
     return tracker.SquareSystem(
         dimension=var.param_dim,
@@ -146,16 +171,21 @@ def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
 
 
 class SliceHomotopy(tracker.TwoSystemHomotopy):
-    """The homotopy from the source-sliced system to the target-sliced one;
-    both systems come from one evaluation of the parametrization."""
+    """The homotopy from the source-sliced system to the target-sliced one.
+
+    Both slices' matrices are stacked once, here, into one [source; target]
+    matrix; each evaluation then takes one image (or image Jacobian) and
+    one product with it, and ``systems`` returns the two new arrays that
+    product fills."""
 
     def __init__(self, var: ParametrizedVariety, source, target, gamma: complex = 1.0):
         super().__init__(sliced_square_system(var, source), sliced_square_system(var, target), gamma)
         self.var = var
-        self.slices = (as_witness_slice(source), as_witness_slice(target))
+        pair = as_witness_slice(source), as_witness_slice(target)
+        self.mats, self.shifts = _slice_matrix(var, pair)
 
     def systems(self, z, derivative=False):
-        return tuple(_sliced(self.var, self.slices, z, derivative))
+        return tuple(_sliced(self.var, self.mats, self.shifts, z, derivative))
 
 
 def random_slice(var: ParametrizedVariety, rng: np.random.Generator) -> WitnessSlice:
@@ -212,12 +242,15 @@ def trifocal_variety(locus: str, alpha, beta, chart) -> ParametrizedVariety:
     count = 2 + iso2 + iso3
 
     def fixed_values(p):
-        cols = [p[:, 0:4] @ alpha - 1.0, p[:, 4:8] @ beta - 1.0]
+        vals = np.empty((p.shape[0], count), dtype=complex)
+        vals[:, 0] = p[:, 0:4] @ alpha
+        vals[:, 1] = p[:, 4:8] @ beta
+        vals[:, 0:2] -= 1.0
         if iso2:
-            cols.append(np.sum(p[:, 0:4] ** 2, axis=1))
+            vals[:, 2] = np.sum(p[:, 0:4] ** 2, axis=1)
         if iso3:
-            cols.append(np.sum(p[:, 4:8] ** 2, axis=1))
-        return np.stack(cols, axis=1)
+            vals[:, count - 1] = np.sum(p[:, 4:8] ** 2, axis=1)
+        return vals
 
     def fixed_jacobian(p):
         b = p.shape[0]
@@ -404,22 +437,19 @@ def move_points(
 ) -> list[tracker.TrackedEndpoint]:
     """Track every point from the source-sliced system to the target's.
 
-    Paths advance in chunks of ``cfg.width`` (0: all at once); ``width``,
-    when given, overrides it for this call.  Path state is row-independent,
-    but BLAS sums the batched products in a size-dependent order, so
-    chunking moves endpoints in their last bits; the endgame starts each
-    near-singular path where it entered ``tracker.ENDGAME_ZONE``, however
-    deep those bits make it stall.
+    ``tracker.track_batch`` advances the paths in chunks of ``cfg.width``
+    (0: all at once) and runs one endgame over the stalled paths of every
+    chunk; ``width``, when given, overrides ``cfg.width`` for this call.
+    Path state is row-independent, but BLAS sums the batched products in a
+    size-dependent order, so chunking moves endpoints in their last bits;
+    the endgame starts each near-singular path where it entered
+    ``tracker.ENDGAME_ZONE``, however deep those bits make it stall.
     """
     cfg = cfg or tracker.TrackerConfig()
-    width = cfg.width if width is None else width
+    if width is not None:
+        cfg = replace(cfg, width=width)
     hom = SliceHomotopy(var, source, target, cfg.gamma)
-    pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    chunk = width if width > 0 else max(1, pts.shape[0])
-    return [
-        end for lo in range(0, pts.shape[0], chunk)
-        for end in tracker.track_batch(hom, pts[lo : lo + chunk], cfg)
-    ]
+    return tracker.track_batch(hom, np.atleast_2d(np.asarray(points, dtype=complex)), cfg)
 
 
 def move_to_slice(

@@ -290,6 +290,20 @@ def test_configuration_tensor_trivial_example():
     assert np.allclose(geometry.configuration_tensor(cfg), direct, atol=1e-14)
 
 
+def test_tensor_maps_of_a_stack_match_row_by_row():
+    rng = np.random.default_rng(19)
+    p = rng.normal(size=(7, 13)) + 1j * rng.normal(size=(7, 13))
+    for fn, shape in ((geometry.tensor_from_params, (27,)),
+                      (geometry.tensor_jacobian_params, (27, 13))):
+        stack = fn(p)
+        assert stack.shape == (7,) + shape
+        for row, point in zip(stack, p):
+            single = fn(point)
+            assert single.shape == shape
+            assert np.abs(row - single).max() <= 1e-14 * np.abs(single).max()
+        assert fn(p[:0]).shape == (0,) + shape
+
+
 def test_configuration_jacobian_vs_finite_differences():
     rng = np.random.default_rng(18)
     h = 1e-6

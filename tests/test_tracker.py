@@ -254,6 +254,54 @@ def test_empty_stack_without_batch_callables():
     assert sys.jacobian_at(empty).shape == (0, 2, 2)
 
 
+def test_evaluation_never_writes_into_a_systems_arrays():
+    # batch callables that hand out one cached array each, real for the start
+    # system: the homotopy must combine them without writing into either
+    cached = {
+        "start_values": np.array([[1.5, -2.0], [0.5, 3.0]]),
+        "start_jacobians": np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 4.0]]]),
+        "target_values": np.array([[1 + 2j, -1j], [0.5, 2 - 1j]]),
+        "target_jacobians": np.array([[[1j, 2.0], [3.0, -1j]], [[2.0, 1j], [1.0, 1.0]]]),
+    }
+    kept = {name: arr.copy() for name, arr in cached.items()}
+
+    def system(side):
+        return tracker.SquareSystem(
+            dimension=2,
+            evaluate=lambda z: cached[f"{side}_values"][0],
+            jacobian=lambda z: cached[f"{side}_jacobians"][0],
+            evaluate_batch=lambda z: cached[f"{side}_values"],
+            jacobian_batch=lambda z: cached[f"{side}_jacobians"],
+        )
+
+    gamma = np.exp(0.4j)
+    hom = tracker.TwoSystemHomotopy(system("start"), system("target"), gamma)
+    z = np.zeros((2, 2), dtype=complex)
+    for s in (np.array([0.25, 0.75]), np.array([0.3 + 0.2j, 0.6 - 0.1j])):
+        for method, key in (("value", "values"), ("jacobian", "jacobians")):
+            start, target = kept[f"start_{key}"], kept[f"target_{key}"]
+            c = s.reshape((2,) + (1,) * (start.ndim - 1))
+            want = gamma * c * start + (1 - c) * target
+            assert np.abs(getattr(hom, method)(z, s) - want).max() <= 1e-15
+        want = gamma * kept["start_values"] - kept["target_values"]
+        assert np.abs(hom.s_partial(z, s) - want).max() <= 1e-15
+        for name, arr in cached.items():
+            assert np.array_equal(arr, kept[name]), name
+
+
+def test_solve_rows_flags_a_singular_row_of_a_batch_last_stack():
+    # homotopy Jacobians and values may be views of batch-last storage; a
+    # singular row must still come back as a NaN row of a contiguous result
+    mats = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 2.0], [2.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]])
+    rhs = np.array([[2.0, 4.0], [1.0, 1.0], [3.0, 5.0]], dtype=complex)
+    mats = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+    rhs = np.ascontiguousarray(rhs.T).T
+    out = tracker._solve_rows(mats, rhs)
+    finite = np.all(np.isfinite(out.view(float)), axis=1)
+    assert finite.tolist() == [True, False, True]
+    assert np.allclose(out[[0, 2]], [[1.0, 1.0], [5.0, 3.0]])
+
+
 def test_path_log_lines_format():
     ends = tracker.total_degree_solve(unit_box_system(), [2, 2])
     lines = tracker.path_log_lines(ends)

@@ -215,6 +215,18 @@ def test_slice_homotopy_matches_two_sliced_systems(kind):
         assert calls == after, method
 
 
+@pytest.mark.parametrize("locus", ["cal", "01"])
+def test_slice_homotopy_on_an_empty_stack(locus_setups, locus):
+    # "01" has a third fixed row (the isotropy of q2) after its 10 slice rows
+    var, _, _, _, _ = locus_setups[locus]
+    rng = np.random.default_rng(5)
+    hom = witness.SliceHomotopy(var, witness.random_slice(var, rng), witness.random_slice(var, rng))
+    z, s = np.zeros((0, 13), dtype=complex), np.zeros(0)
+    assert hom.value(z, s).shape == (0, 13)
+    assert hom.jacobian(z, s).shape == (0, 13, 13)
+    assert hom.s_partial(z, s).shape == (0, 13)
+
+
 def test_random_slice_affine_has_nonzero_constants():
     var = cubic_variety()
     slc = witness.random_slice(var, np.random.default_rng(0))
