@@ -14,6 +14,12 @@ makes enough calls to take about ``MIN_REPEAT_S`` seconds.
 Rows: the tensor image and its Jacobian, the homotopy's value, Jacobian and
 s-partial, the batched 13x13 solve, one RK4 predictor step and one Newton
 correction.
+
+``filter_stages`` times each stage of the solve's endpoint filter
+(``pipeline._screen``) on one record: a planted real (1,4,0,0,0)
+configuration, which passes every stage, against its consistent instance.
+"centers" includes building the cameras from the parameters, and
+"multiview" stacking the instance's correspondences.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ env.use_repo_sources()
 
 import numpy as np  # noqa: E402
 
-from trifocal import geometry, tracker, witness  # noqa: E402
+from trifocal import geometry, pipeline, slices, tracker, witness  # noqa: E402
 
 MIN_REPEAT_S = 0.05
 SEED = 0
@@ -82,6 +88,33 @@ def kernels(hom: witness.SliceHomotopy, z: np.ndarray, s: np.ndarray) -> dict:
     }
 
 
+def filter_stages() -> dict:
+    """Stage name -> zero-argument call, for one planted record."""
+    config = geometry.random_configuration(np.random.default_rng(SEED), real=True)
+    instance = slices.synthetic_consistent_instance(
+        config, slices.ProblemWeights(1, 4, 0, 0, 0), seed=SEED
+    )
+    rows = slices.assemble_special_slice(instance).rows
+    norm_rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    p = config.params
+    cams = config.cameras()
+    centers = geometry.camera_centers(cams)
+    stack = geometry.CorrespondenceStack.of(instance)
+    stages = {
+        "membership": lambda: pipeline._membership(p, norm_rows) <= pipeline.MEMBERSHIP_RTOL,
+        "physicality": lambda: pipeline._physicality(p),
+        "centers": lambda: next(pipeline._stage_checks(
+            geometry.CalibratedConfiguration.from_params(p).cameras(), instance))[1],
+        "multiview": lambda: geometry.multiview_passed(
+            cams, geometry.CorrespondenceStack.of(instance)),
+        "epipoles": lambda: geometry.epipoles_clear(cams, centers, stack),
+    }
+    failed = [name for name, fn in stages.items() if not fn()]
+    if failed:
+        raise RuntimeError(f"the planted record fails {failed}")
+    return stages
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     pws = witness.bundled_witness("cal")
@@ -94,17 +127,20 @@ def main(argv=None) -> int:
         z, s = pws.points[:b].copy(), s_all[:b].copy()
         for name, fn in kernels(hom, z, s).items():
             rows.setdefault(name, {})[str(b)] = best_seconds(fn, args.repeats)
+    stages = {name: best_seconds(fn, args.repeats) for name, fn in filter_stages().items()}
     doc = {
         "env": env.describe(),
         "repeats": args.repeats,
         "unit": "seconds per call, best of the repeats",
         "kernels": rows,
+        "filter_stages": stages,
     }
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     width = max(len(name) for name in rows)
     print(f"{'kernel':{width}s} " + " ".join(f"{'B=' + str(b):>11s}" for b in args.sizes))
     for name, by_size in rows.items():
         print(f"{name:{width}s} " + " ".join(f"{by_size[str(b)]:11.3e}" for b in args.sizes))
+    print("filter stage, one record: " + ", ".join(f"{n} {t:.3e}" for n, t in stages.items()))
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -353,6 +354,13 @@ def _at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trifocal",
@@ -367,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     tracking.add_argument("--width", type=_at_least(0), default=0,
                           help="paths tracked in lockstep per chunk (0 = all at once)")
     out.add_argument("--out", dest="out_path", default=None, help="output file path")
-    trace.add_argument("--tol-trace", type=float, default=witness.TRACE_TOL,
+    trace.add_argument("--tol-trace", type=_tolerance, default=witness.TRACE_TOL,
                        help="completeness certificate tolerance")
-    checks.add_argument("--tol-verify", type=float, default=None,
+    checks.add_argument("--tol-verify", type=_tolerance, default=None,
                         help="absolute rank tolerance for verification (default: rank-ratio test)")
-    checks.add_argument("--tol-epipole", type=float, default=geometry.EPIPOLE_TOL,
+    checks.add_argument("--tol-epipole", type=_tolerance, default=geometry.EPIPOLE_TOL,
                         help="minimum epipole clearance")
 
     p = sub.add_parser("witness", parents=[log, tracking, out, trace],

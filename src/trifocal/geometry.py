@@ -9,6 +9,14 @@ configuration is the normalized orbit representative with first camera
 variety, and this module provides that map and its analytic Jacobian in
 batched form, plus the multi-view consistency tests used to filter
 solution candidates.
+
+Those tests work on a camera triple as one (3, 3, 4) stack (its three
+centers come from one SVD) and on correspondences as a
+``CorrespondenceStack``: one stacked rank test per correspondence kind, and
+the distances of every point and line to the epipoles of its image as one
+array.  ``multiview_passed`` and ``epipoles_clear`` test a whole instance;
+``multiview_residual``, ``epipole_clearance`` and ``consistency_check`` are
+the same code on one correspondence.
 """
 from __future__ import annotations
 
@@ -35,36 +43,56 @@ class UndefinedEpipoleError(ValueError):
     """Two cameras share a center, so their epipole does not exist."""
 
 
-def _as_camera(cam) -> np.ndarray:
-    a = np.asarray(cam, dtype=complex)
-    if a.shape != (3, 4):
-        raise DegenerateCameraError(f"camera must be 3x4, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+def _as_cameras(cams) -> np.ndarray:
+    """A stack of cameras as a complex (k, 3, 4) array."""
+    try:
+        a = np.asarray(cams, dtype=complex)
+    except ValueError as err:  # cameras of different shapes
+        raise DegenerateCameraError(f"cameras must be 3x4 ({err})") from err
+    if a.ndim != 3 or a.shape[1:] != (3, 4):
+        raise DegenerateCameraError(f"camera must be 3x4, got {a.shape[1:]}")
+    if not np.isfinite(a).all():
         raise DegenerateCameraError("camera contains NaN/Inf")
     return a
 
 
+def _as_camera(cam) -> np.ndarray:
+    return _as_cameras([cam])[0]
+
+
+def camera_centers(cams) -> np.ndarray:
+    """(k, 4): the unit generator of each camera's kernel (its center in
+    P^3), from one SVD of the (k, 3, 4) stack."""
+    spec = numlin.svd(_as_cameras(cams))
+    if (numlin.ranks_of_singulars(spec.values) < 3).any():
+        raise DegenerateCameraError("camera is rank-deficient")
+    return spec.right[:, 3].conj()
+
+
 def camera_center(cam) -> np.ndarray:
     """Unit-normalized generator of the camera's kernel (its center in P^3)."""
-    spec = numlin.svd(_as_camera(cam))
-    if numlin.rank_of_values(spec.values) < 3:
-        raise DegenerateCameraError("camera is rank-deficient")
-    return numlin.normalize_projective(spec.right[3].conj())
+    return numlin.normalize_projective(camera_centers([cam])[0])
 
 
-def _epipole(cam, center, other_center) -> np.ndarray:
-    if numlin.projective_distance(center, other_center) < 1e-10:
+def _epipoles(cams, centers) -> np.ndarray:
+    """(k, k, 3): entry [i, j] the image under camera i of center j, scaled
+    to unit norm, for a (k, 3, 4) camera stack and its (k, 4) unit centers;
+    the diagonal is left unscaled."""
+    off = ~np.eye(len(cams), dtype=bool)
+    if (numlin.unit_distances(centers[:, None], centers[None])[off] < 1e-10).any():
         raise UndefinedEpipoleError("cameras share a center")
-    e = cam @ other_center
-    if np.linalg.norm(e) < 1e-12:
+    e = np.matmul(cams, centers.T).transpose(0, 2, 1)
+    norms = np.linalg.norm(e, axis=-1)
+    if (norms[off] < 1e-12).any():
         raise UndefinedEpipoleError("center of one camera lies in the other's kernel")
-    return numlin.normalize_projective(e)
+    np.fill_diagonal(norms, 1.0)
+    return e / norms[..., None]
 
 
 def epipole(frm, of) -> np.ndarray:
     """Image under ``frm`` of the center of ``of``, unit-normalized."""
-    a = _as_camera(frm)
-    return _epipole(a, camera_center(a), camera_center(of))
+    cams = _as_cameras((frm, of))
+    return numlin.normalize_projective(_epipoles(cams, camera_centers(cams))[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +195,26 @@ def quaternion_from_rotation(r) -> np.ndarray:
 # trifocal tensors
 # ---------------------------------------------------------------------------
 
+# the two cameras other than camera i (equally: the columns of a^T that
+# tensor slice i keeps), row i
+_OTHER_TWO = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 def trifocal_tensor(a, b, c) -> np.ndarray:
     """3x3x3 tensor of 4x4 minors of the stacked camera transposes.
 
     Entry (i, j, k) is (-1)^(i+1) times the determinant of the 4x4 matrix
     whose columns are the two kept columns of a^T (column i omitted, order
     preserved), column j of b^T, and column k of c^T. Zero exactly when all
-    three camera centers coincide.
+    three camera centers coincide.  The 27 minors are one stacked
+    determinant.
     """
-    at = _as_camera(a).T
-    bt = _as_camera(b).T
-    ct = _as_camera(c).T
-    t = np.empty((3, 3, 3), dtype=complex)
-    for i in range(3):
-        keep = [m for m in range(3) if m != i]
-        sign = (-1.0) ** i  # (-1)^(i+1) with 1-based i
-        for j in range(3):
-            for k in range(3):
-                m4 = np.column_stack([at[:, keep[0]], at[:, keep[1]], bt[:, j], ct[:, k]])
-                t[i, j, k] = sign * numlin.det4(m4)
-    return t
+    at, bt, ct = _as_cameras((a, b, c)).transpose(0, 2, 1)
+    m = np.empty((3, 3, 3, 4, 4), dtype=complex)  # [i, j, k, row, column]
+    m[..., 0:2] = at[:, _OTHER_TWO].transpose(1, 0, 2)[:, None, None]
+    m[..., 2] = bt.T[None, :, None]
+    m[..., 3] = ct.T[None, None]
+    return np.array([1.0, -1.0, 1.0])[:, None, None] * np.linalg.det(m)
 
 
 def tensor_contract(t, first=None, second=None, third=None):
@@ -248,11 +276,14 @@ class CalibratedConfiguration:
         t2 = np.array([v[8], v[9], 1.0 + 0j])
         return cls(q2=v[0:4], q3=v[4:8], t2=t2, t3=v[10:13])
 
-    def cameras(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = np.hstack([np.eye(3), np.zeros((3, 1))]).astype(complex)
-        b = np.hstack([quaternion_rotation(self.q2), self.t2[:, None]])
-        c = np.hstack([quaternion_rotation(self.q3), self.t3[:, None]])
-        return a, b, c
+    def cameras(self) -> np.ndarray:
+        """The (3, 3, 4) stack [I | 0], [R(q2) | t2], [R(q3) | t3]."""
+        cams = np.zeros((3, 3, 4), dtype=complex)
+        cams[0, :, 0:3] = np.eye(3)
+        cams[1:, :, 0:3] = _rotations(np.stack([self.q2, self.q3]))
+        cams[1, :, 3] = self.t2
+        cams[2, :, 3] = self.t3
+        return cams
 
 
 def random_configuration(rng: np.random.Generator, real: bool = False) -> CalibratedConfiguration:
@@ -370,31 +401,96 @@ class MultiviewReport:
     details: dict = field(default_factory=dict)
 
 
-def _unit(v) -> np.ndarray:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    return a / np.linalg.norm(a)
+#: the rank each kind's minor matrix drops to on consistent data (PLL is
+#: tested by its trilinear form instead)
+_EXPECTED_RANK = {"PPP": 6, "PPL": 5, "PLP": 5, "LLL": 2}
+
+# the 6 x 6 matrix of camera pair (i, j) is rows 3i..3i+2, 3j..3j+2 and
+# columns 0-3, 4+i, 4+j of the 9 x 7 PPP matrix
+_PAIRS = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
+_PAIR_ROWS = np.array([[*range(3 * i, 3 * i + 3), *range(3 * j, 3 * j + 3)]
+                       for i, j in _PAIRS.values()])
+_PAIR_COLUMNS = np.array([[0, 1, 2, 3, 4 + i, 4 + j] for i, j in _PAIRS.values()])
+_IMAGES = np.arange(3)[:, None]
 
 
-def _point_camera_block(cam, x, n_cams, slot):
-    block = np.zeros((3, 4 + n_cams), dtype=complex)
-    block[:, 0:4] = cam
-    block[:, 4 + slot] = x
-    return block
+@dataclass(frozen=True)
+class CorrespondenceStack:
+    """Correspondences as arrays: their image vectors scaled to unit norm,
+    an (n, 3, 3) [correspondence, image, coordinate] stack; the (n, 3) mask
+    of which are points; and the vectors of each kind present, in order of
+    first appearance."""
+
+    vectors: np.ndarray
+    is_point: np.ndarray
+    by_kind: dict
+
+    @classmethod
+    def of(cls, correspondences) -> "CorrespondenceStack":
+        v = np.array([c.vectors for c in correspondences], dtype=complex).reshape(-1, 3, 3)
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        kinds = [c.kind for c in correspondences]
+        is_point = np.array([[tag == "P" for tag in kind] for kind in kinds], dtype=bool)
+        by_kind = {k: v[[i for i, kind in enumerate(kinds) if kind == k]] for k in dict.fromkeys(kinds)}
+        return cls(v, is_point.reshape(-1, 3), by_kind)
 
 
-def _rank_verdict(m, expected, abs_tol):
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    rank = numlin.rank_of_values(s)
-    if expected < s.size:
-        drop = float(s[expected - 1] / s[expected]) if s[expected] > 0 else np.inf
-        trailing = float(s[expected] / s[0]) if s[0] > 0 else 0.0
-    else:
-        drop, trailing = np.inf, 0.0
+def _minor_matrices(kind: str, cams: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(n, rows, columns) minor matrices of n correspondences of one kind.
+
+    LLL stacks the back-projected planes camera^T line as columns.  The
+    other kinds stack a block [camera | point in its own column] per point
+    image, and for PPL and PLP the back-projected plane of the line.
+    """
+    if kind == "LLL":
+        return np.einsum("icr,nic->nri", cams, v)
+    points = [i for i, tag in enumerate(kind) if tag == "P"]
+    rows = 3 * len(points) + (3 - len(points))  # three per point image, one per line image
+    m = np.zeros((v.shape[0], rows, 4 + len(points)), dtype=complex)
+    for slot, i in enumerate(points):
+        m[:, 3 * slot:3 * slot + 3, 0:4] = cams[i]
+        m[:, 3 * slot:3 * slot + 3, 4 + slot] = v[:, i]
+    if len(points) == 2:
+        line = kind.index("L")
+        m[:, 6, 0:4] = v[:, line] @ cams[line]
+    return m
+
+
+def _rank_verdicts(m: np.ndarray, expected: int, abs_tol) -> tuple:
+    """(passed, rank, drop ratio) of each matrix of a stack whose rank
+    should drop to ``expected``, from one SVD of the stack."""
+    s = np.linalg.svd(m, compute_uv=False)
+    rank = numlin.ranks_of_singulars(s)
+    lead, kept, past = s[:, 0], s[:, expected - 1], s[:, expected]
+    drop = np.divide(kept, past, out=np.full_like(past, np.inf), where=past > 0)
     if abs_tol is None:
-        passed = rank <= expected
-    else:
-        passed = trailing <= abs_tol
-    return passed, rank, drop
+        return rank <= expected, rank, drop
+    trailing = np.divide(past, lead, out=np.zeros_like(lead), where=lead > 0)
+    return trailing <= abs_tol, rank, drop
+
+
+def _multiview(kind: str, cams: np.ndarray, v: np.ndarray, abs_tol) -> tuple:
+    """(passed, rank, drop ratio, details) of n correspondences of one kind
+    with (n, 3, 3) unit vectors ``v``, each an array over the n (rank None
+    for PLL); the details hold PPP's pairwise determinants and PLL's
+    trilinear values."""
+    if kind == "PLL":
+        t = trifocal_tensor(*cams)
+        t = t / np.linalg.norm(t)
+        val = np.abs(np.einsum("ijk,ni,nj,nk->n", t, v[:, 0], v[:, 1], v[:, 2]))
+        drop = np.divide(1.0, val, out=np.full_like(val, np.inf), where=val != 0)
+        return val <= (1e-7 if abs_tol is None else abs_tol), None, drop, {"trilinear": val}
+    if kind not in _EXPECTED_RANK:
+        raise ValueError(f"unknown correspondence kind {kind!r}")
+    m = _minor_matrices(kind, cams, v)
+    passed, rank, drop = _rank_verdicts(m, _EXPECTED_RANK[kind], abs_tol)
+    if kind != "PPP":
+        return passed, rank, drop, {}
+    # each camera pair's 6 x 6 determinant, relative to its row norms
+    d = m[:, _PAIR_ROWS[:, :, None], _PAIR_COLUMNS[:, None, :]]
+    dets = np.abs(np.linalg.det(d)) / np.linalg.norm(d, axis=-1).prod(axis=-1)
+    passed = passed & (dets <= (1e-8 if abs_tol is None else abs_tol)).all(axis=1)
+    return passed, rank, drop, {"pairwise_dets": dets}
 
 
 def multiview_residual(
@@ -414,77 +510,67 @@ def multiview_residual(
     """
     if data.kind != kind:
         raise ValueError(f"correspondence kind {data.kind} does not match requested {kind}")
-    a, b, c = _as_camera(a), _as_camera(b), _as_camera(c)
-    v0, v1, v2 = (_unit(v) for v in data.vectors)
-    det_tol = 1e-8 if abs_tol is None else abs_tol
+    v = CorrespondenceStack.of([data]).vectors
+    passed, rank, drop, details = _multiview(kind, _as_cameras((a, b, c)), v, abs_tol)
+    if "pairwise_dets" in details:
+        details = {"pairwise_dets": dict(zip(_PAIRS, details["pairwise_dets"][0].tolist()))}
+    elif "trilinear" in details:
+        details = {"trilinear": float(details["trilinear"][0])}
+    return MultiviewReport(
+        kind=kind,
+        passed=bool(passed[0]),
+        rank=None if rank is None else int(rank[0]),
+        expected_rank=_EXPECTED_RANK.get(kind),
+        drop_ratio=float(drop[0]),
+        details=details,
+    )
 
-    if kind == "PLL":
-        t = trifocal_tensor(a, b, c)
-        t = t / np.linalg.norm(t)
-        val = abs(tensor_contract(t, v0, v1, v2))
-        return MultiviewReport(
-            kind=kind,
-            passed=bool(val <= max(det_tol, 1e-7 if abs_tol is None else abs_tol)),
-            rank=None,
-            expected_rank=None,
-            drop_ratio=np.inf if val == 0 else 1.0 / val,
-            details={"trilinear": val},
-        )
 
-    if kind in ("PPL", "PLP"):
-        if kind == "PPL":
-            pt_cam2, pt2, line_cam, line = b, v1, c, v2
-        else:
-            pt_cam2, pt2, line_cam, line = c, v2, b, v1
-        m = np.zeros((7, 6), dtype=complex)
-        m[0:3] = _point_camera_block(a, v0, 2, 0)
-        m[3:6] = _point_camera_block(pt_cam2, pt2, 2, 1)
-        m[6, 0:4] = line @ line_cam
-        passed, rank, drop = _rank_verdict(m, 5, abs_tol)
-        return MultiviewReport(kind, passed, rank, 5, drop)
+def multiview_passed(cams, stack: CorrespondenceStack, abs_tol: float | None = None) -> bool:
+    """True iff every correspondence of the stack passes
+    ``multiview_residual`` against the (3, 3, 4) camera stack: one stacked
+    test per kind, stopping at the first kind that fails."""
+    cams = _as_cameras(cams)
+    return all(
+        bool(_multiview(kind, cams, v, abs_tol)[0].all()) for kind, v in stack.by_kind.items()
+    )
 
-    if kind == "LLL":
-        m = np.column_stack([a.T @ v0, b.T @ v1, c.T @ v2])
-        passed, rank, drop = _rank_verdict(m, 2, abs_tol)
-        return MultiviewReport(kind, passed, rank, 2, drop)
 
-    if kind == "PPP":
-        m = np.zeros((9, 7), dtype=complex)
-        m[0:3] = _point_camera_block(a, v0, 3, 0)
-        m[3:6] = _point_camera_block(b, v1, 3, 1)
-        m[6:9] = _point_camera_block(c, v2, 3, 2)
-        passed, rank, drop = _rank_verdict(m, 6, abs_tol)
-        dets = {}
-        for label, (cam1, x1, cam2, x2) in {
-            "12": (a, v0, b, v1),
-            "13": (a, v0, c, v2),
-            "23": (b, v1, c, v2),
-        }.items():
-            d = np.zeros((6, 6), dtype=complex)
-            d[0:3] = _point_camera_block(cam1, x1, 2, 0)
-            d[3:6] = _point_camera_block(cam2, x2, 2, 1)
-            scale = np.prod(np.linalg.norm(d, axis=1))
-            dets[label] = abs(np.linalg.det(d)) / scale
-        dets_ok = all(v <= det_tol for v in dets.values())
-        return MultiviewReport(
-            kind, bool(passed and dets_ok), rank, 6, drop, details={"pairwise_dets": dets}
-        )
+def _clearances(stack: CorrespondenceStack, epipoles: np.ndarray) -> np.ndarray:
+    """(n, 3, 2): the distance of each image element of the stack to the two
+    epipoles of its image (the images of the other two centers): chordal
+    projective distance for points, |l . e| for lines."""
+    e = epipoles[_IMAGES, _OTHER_TWO]  # [image, other, coordinate]
+    u = stack.vectors[:, :, None]
+    points = numlin.unit_distances(u, e)
+    lines = np.abs(np.sum(u * e, axis=-1))
+    return np.where(stack.is_point[:, :, None], points, lines)
 
-    raise ValueError(f"unknown correspondence kind {kind!r}")
+
+def epipoles_clear(cams, centers, stack: CorrespondenceStack, tol: float = EPIPOLE_TOL) -> bool:
+    """True iff the epipoles of the (3, 3, 4) camera stack (with its (3, 4)
+    ``camera_centers``) exist and every point and line of the stack stays
+    farther than ``tol`` from both epipoles of its image."""
+    try:
+        epipoles = _epipoles(_as_cameras(cams), np.asarray(centers))
+    except UndefinedEpipoleError:
+        return False
+    return bool((_clearances(stack, epipoles) > tol).all())
 
 
 def all_epipoles(a, b, c, centers=None) -> dict[tuple[int, int], np.ndarray]:
     """The six epipoles e[(i, j)] = image under camera i of center j
     (``centers``: the cameras' ``camera_center``s, when already known)."""
-    cams = [_as_camera(cam) for cam in (a, b, c)]
+    cams = _as_cameras((a, b, c))
     if centers is None:
-        centers = [camera_center(cam) for cam in cams]
-    out = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                out[(i, j)] = _epipole(cams[i], centers[i], centers[j])
-    return out
+        centers = camera_centers(cams)
+    else:
+        centers = np.asarray(centers, dtype=complex)
+        centers = centers / np.linalg.norm(centers, axis=-1, keepdims=True)
+    e = _epipoles(cams, centers)
+    return {
+        (i, j): numlin.normalize_projective(e[i, j]) for i in range(3) for j in range(3) if i != j
+    }
 
 
 def epipole_clearance(data: "Correspondence", epipoles: dict) -> float:
@@ -493,21 +579,10 @@ def epipole_clearance(data: "Correspondence", epipoles: dict) -> float:
     Points use chordal projective distance; lines use normalized incidence
     |l . e| (a line 'hits' an epipole when the epipole lies on it).
     """
-    worst = np.inf
-    for img, (element_is_point, v) in enumerate(
-        zip((k == "P" for k in data.kind), data.vectors)
-    ):
-        u = _unit(v)
-        for other in range(3):
-            if other == img:
-                continue
-            e = epipoles[(img, other)]
-            if element_is_point:
-                d = numlin.projective_distance(u, e)
-            else:
-                d = abs(u @ e)
-            worst = min(worst, float(d))
-    return worst
+    e = np.zeros((3, 3, 3), dtype=complex)
+    for (i, j), value in epipoles.items():
+        e[i, j] = value / np.linalg.norm(value)
+    return float(_clearances(CorrespondenceStack.of([data]), e).min())
 
 
 def consistency_check(a, b, c, data: "Correspondence") -> bool:
@@ -518,10 +593,12 @@ def consistency_check(a, b, c, data: "Correspondence") -> bool:
     both epipoles in its image. Raises UndefinedEpipoleError for camera
     pairs with identical centers.
     """
-    eps = all_epipoles(a, b, c)
-    if not multiview_residual(data.kind, a, b, c, data).passed:
+    cams = _as_cameras((a, b, c))
+    epipoles = _epipoles(cams, camera_centers(cams))
+    stack = CorrespondenceStack.of([data])
+    if not multiview_passed(cams, stack):
         return False
-    return epipole_clearance(data, eps) > EPIPOLE_TOL
+    return bool((_clearances(stack, epipoles) > EPIPOLE_TOL).all())
 
 
 # ---------------------------------------------------------------------------

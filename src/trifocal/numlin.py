@@ -23,7 +23,8 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Full SVD ``m = left @ diag_rect(values) @ right``.
+    """Full SVD ``m = left @ diag_rect(values) @ right``, of one matrix or
+    of each matrix of a stack (leading axes shared by all three arrays).
 
     values are nonincreasing and nonnegative; ``left`` and ``right`` are
     square unitary (``right`` is the conjugate-transposed row basis, LAPACK's
@@ -36,13 +37,13 @@ class SingularSpectrum:
 
 
 def svd(m) -> SingularSpectrum:
-    """Singular value decomposition of a complex matrix.
+    """Singular value decomposition of a complex matrix or a stack of them.
 
     Raises NumericalError if the iterative reduction fails to converge
     (LAPACK's bounded iteration budget is exhausted).
     """
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise NumericalError(f"svd expects a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NumericalError("svd input contains NaN/Inf")
@@ -82,17 +83,11 @@ def numerical_rank(m, ratio_threshold: float = RANK_RATIO) -> int:
 def ranks_of_singulars(batch_values) -> np.ndarray:
     """Vectorized rank_of_values over a (B, k) stack of spectra."""
     S = np.asarray(batch_values, dtype=float)
-    B, k = S.shape
-    ranks = np.full(B, k, dtype=int)
-    lead = S[:, 0]
-    floor = RANK_FLOOR * lead
-    found = np.zeros(B, dtype=bool)
-    for i in range(k - 1):
-        gap = (~found) & (S[:, i + 1] < floor) & (S[:, i] > RANK_RATIO * S[:, i + 1])
-        ranks[gap] = i + 1
-        found |= gap
-    ranks[lead <= 0.0] = 0
-    return ranks
+    tail = S[:, 1:]
+    gap = (tail < RANK_FLOOR * S[:, :1]) & (S[:, :-1] > RANK_RATIO * tail)
+    # one more than the number of values before the first gap (all but the
+    # last when there is none); a zero spectrum has rank 0
+    return ((~gap).cumprod(axis=1).sum(axis=1) + 1) * (S[:, 0] > 0.0)
 
 
 def nullspace(m) -> np.ndarray:
@@ -148,6 +143,18 @@ def normalize_projective(v) -> np.ndarray:
     return u.reshape(np.shape(v))
 
 
+def unit_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chordal distances sqrt(2 - 2|<a,b>|) between the projective points
+    given by the unit vectors along the last axes of ``a`` and ``b``,
+    broadcast against each other."""
+    # ||a - phase*b|| with the optimal phase equals sqrt(2 - 2|<a,b>|), but
+    # computed as a difference norm it resolves distances far below sqrt(eps)
+    ip = np.add.reduce(b.conj() * a, axis=-1, keepdims=True)
+    mag = np.abs(ip)
+    phase = np.divide(ip, mag, out=np.ones_like(ip), where=mag > 0.0)
+    return np.minimum(np.linalg.norm(a - phase * b, axis=-1), np.sqrt(2.0))
+
+
 def projective_distance(u, v) -> float:
     """Chordal distance between projective points: sqrt(2 - 2|<u,v>|)."""
     a = np.asarray(u, dtype=complex).ravel()
@@ -155,10 +162,4 @@ def projective_distance(u, v) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise NumericalError("zero vector has no projective distance")
-    a = a / na
-    b = b / nb
-    # ||a - phase*b|| with the optimal phase equals sqrt(2 - 2|<a,b>|), but
-    # computed as a difference norm it resolves distances far below sqrt(eps)
-    ip = np.vdot(b, a)
-    phase = ip / abs(ip) if abs(ip) > 0.0 else 1.0
-    return float(min(np.linalg.norm(a - phase * b), np.sqrt(2.0)))
+    return float(unit_distances(a / na, b / nb))

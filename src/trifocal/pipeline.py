@@ -9,6 +9,10 @@ survivors are the solutions. One pass screens each endpoint through stages
 1-5; its verdict names the first stage it fails (or ``"solution"``), and the
 survivor count of every stage is read off the verdict vector, so a run can
 be audited after the fact.
+
+Stages 3-5 (centers, multi-view ranks, epipoles) are one array pass over a
+record's camera stack and its instance, ``_stage_checks``, which both the
+solve's ``_screen`` and ``verify_solution`` (``trifocal verify``) run.
 """
 from __future__ import annotations
 
@@ -147,34 +151,28 @@ def _physicality(params) -> bool:
     return True
 
 
-def _centers(cams) -> list[np.ndarray] | None:
-    """The three camera centers, or None when they are linearly dependent or
-    a camera is degenerate."""
+def _stage_checks(cams, instance, abs_tol=None, epipole_tol=geometry.EPIPOLE_TOL):
+    """Stages 3-5 on one record's (3, 3, 4) camera stack, as lazily
+    evaluated (stage, passed) pairs in stage order: one SVD of the camera
+    stack and one of its centers, one stacked rank test per correspondence
+    kind, and one array of epipole clearances.  Dependent centers fail the
+    later stages too; a caller that stops at the first failure skips their
+    work."""
     try:
-        centers = [geometry.camera_center(cam) for cam in cams]
+        centers = geometry.camera_centers(cams)
     except geometry.DegenerateCameraError:
-        return None
-    return centers if numerical_rank(np.column_stack(centers)) == 3 else None
-
-
-def _independent_centers(cams) -> bool:
-    return _centers(cams) is not None
-
-
-def _multiview_all(cams, instance, abs_tol=None) -> bool:
-    a, b, c = cams
-    return all(
-        geometry.multiview_residual(corr.kind, a, b, c, corr, abs_tol=abs_tol).passed
-        for corr in instance
+        centers = None
+    independent = centers is not None and numerical_rank(centers.T) == 3
+    yield "independent_centers", independent
+    stack = geometry.CorrespondenceStack.of(instance) if independent else None
+    yield "multiview", independent and geometry.multiview_passed(cams, stack, abs_tol)
+    yield "epipole_clear", independent and geometry.epipoles_clear(
+        cams, centers, stack, epipole_tol
     )
 
 
-def _epipole_clear(cams, centers, instance, tol: float = geometry.EPIPOLE_TOL) -> bool:
-    try:
-        eps = geometry.all_epipoles(*cams, centers=centers)
-    except geometry.UndefinedEpipoleError:
-        return False
-    return all(geometry.epipole_clearance(corr, eps) > tol for corr in instance)
+def _independent_centers(cams) -> bool:
+    return next(_stage_checks(cams, []))[1]
 
 
 def verify_solution(
@@ -186,14 +184,8 @@ def verify_solution(
     which is how severely truncated published fixtures are checked (their
     entries carry only a couple of decimals).
     """
-    cams = rec.configuration.cameras()
-    centers = _centers(cams)
-    independent = centers is not None
-    verdict = {"physical": _physicality(rec.params), "independent_centers": independent}
-    verdict["multiview"] = independent and _multiview_all(cams, instance, abs_tol=abs_tol)
-    verdict["epipole_clear"] = independent and _epipole_clear(
-        cams, centers, instance, epipole_tol
-    )
+    verdict = {"physical": _physicality(rec.params)}
+    verdict.update(_stage_checks(rec.configuration.cameras(), instance, abs_tol, epipole_tol))
     verdict["all"] = all(verdict.values())
     return verdict
 
@@ -205,25 +197,25 @@ def verify_solution(
 _dedup_mask = witness.distinct_mask
 
 
+def _membership(point, norm_rows) -> float:
+    """The largest |row . tensor| over the unit rows of the full constraint
+    span, relative to the tensor's norm."""
+    t = geometry.tensor_from_params(point)
+    return float(np.abs(norm_rows @ t).max() / np.linalg.norm(t))
+
+
 def _screen(point, norm_rows, instance) -> tuple[str, float]:
     """Stages 1-5 on one finite endpoint: the verdict of the first stage it
-    fails, or ``"solution"``, and its membership residual (the largest
-    |row . tensor| over the unit rows of the full constraint span, relative
-    to the tensor's norm)."""
-    t = geometry.tensor_from_params(point)
-    rel = float(np.abs(norm_rows @ t).max() / np.linalg.norm(t))
+    fails, or ``"solution"``, and its membership residual."""
+    rel = _membership(point, norm_rows)
     if not rel <= MEMBERSHIP_RTOL:
         return "outside-special", rel
     if not _physicality(point):
         return "nonphysical", rel
     cams = geometry.CalibratedConfiguration.from_params(point).cameras()
-    centers = _centers(cams)
-    if centers is None:
-        return "dependent-centers", rel
-    if not _multiview_all(cams, instance):
-        return "multiview-fail", rel
-    if not _epipole_clear(cams, centers, instance):
-        return "epipole-hit", rel
+    for stage, passed in _stage_checks(cams, instance):
+        if not passed:
+            return VERDICTS[STAGES.index(stage)], rel
     return "solution", rel
 
 

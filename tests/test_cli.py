@@ -354,6 +354,34 @@ def test_unread_option_is_usage_error(tmp_path, capsys, monkeypatch, cmd, extra)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "cmd, option",
+    [("verify", "--tol-verify"), ("verify", "--tol-epipole"), ("trace-test", "--tol-trace")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+def test_tolerance_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, cmd, option, value):
+    """A NaN, infinite or non-positive tolerance would decide every record
+    (or certify any witness set) instead of testing it."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_usage_probe(cmd, tmp_path) + [f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"argument {option}: must be a finite number > 0, got {value}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tolerances_parse_to_floats():
+    args = cli.build_parser().parse_args(
+        ["verify", "--solution", "s.json", "--tol-verify", "5e-2", "--tol-epipole", "1e-3"]
+    )
+    cfg = cli.config_from_args(args)
+    assert (cfg.tol_verify, cfg.tol_epipole) == (5e-2, 1e-3)
+    args = cli.build_parser().parse_args(["trace-test", "--witness", "w.json", "--tol-trace", "1e-9"])
+    assert cli.config_from_args(args).tol_trace == 1e-9
+
+
 def _malformed_instance(tmp_path):
     doc = json.loads(data_path("reference_instance.json").read_text())
     del doc["correspondences"]

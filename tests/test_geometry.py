@@ -413,6 +413,26 @@ def test_multiview_kind_mismatch(synthetic_scene):
         geometry.multiview_residual("PPP", a, b, c, corr)
 
 
+def test_stacked_checks_agree_with_one_correspondence_calls(synthetic_scene):
+    """On instances mixing all five kinds, the per-kind stacked rank tests and
+    the array of epipole clearances decide as the one-correspondence calls."""
+    cfg, cams = synthetic_scene
+    a, b, c = cams
+    mixed = [_one_synthetic(cfg, kind, 10 + i) for i, kind in enumerate(slices.KINDS)]
+    stray = slices.random_instance(slices.ProblemWeights(0, 1, 1, 0, 7), seed=4)
+    epipoles = geometry.all_epipoles(a, b, c)
+    centers = geometry.camera_centers(cams)
+    for corrs in (mixed, stray, mixed[::-1] + stray[:2]):
+        stack = geometry.CorrespondenceStack.of(corrs)
+        reports = [geometry.multiview_residual(k.kind, a, b, c, k) for k in corrs]
+        assert geometry.multiview_passed(cams, stack) == all(r.passed for r in reports)
+        worst = min(geometry.epipole_clearance(k, epipoles) for k in corrs)
+        assert geometry.epipoles_clear(cams, centers, stack, 0.5 * worst)
+        assert not geometry.epipoles_clear(cams, centers, stack, 2.0 * worst)
+    assert geometry.multiview_passed(cams, geometry.CorrespondenceStack.of(mixed))
+    assert not geometry.multiview_passed(cams, geometry.CorrespondenceStack.of(stray))
+
+
 def test_consistency_check_forward_instance(synthetic_scene):
     cfg, (a, b, c) = synthetic_scene
     corr = _one_synthetic(cfg, "PPL", 7)

@@ -125,6 +125,17 @@ def test_svd_reconstruction(shape):
     assert np.all(np.diff(spec.values) <= 0)
 
 
+def test_svd_of_a_stack_is_each_matrix_svd():
+    rng = np.random.default_rng(77)
+    stack = rng.normal(size=(3, 3, 4)) + 1j * rng.normal(size=(3, 3, 4))
+    spec = numlin.svd(stack)
+    assert spec.values.shape == (3, 3) and spec.right.shape == (3, 4, 4)
+    for m, values in zip(stack, spec.values):
+        assert np.allclose(values, numlin.svd(m).values, rtol=1e-12)
+    with pytest.raises(numlin.NumericalError):
+        numlin.svd(np.ones(4))
+
+
 def test_svd_rejects_nonfinite():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(numlin.NumericalError):

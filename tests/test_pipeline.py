@@ -125,6 +125,94 @@ def test_verify_solution_flags_perturbed_quaternion():
     assert not verdict["all"]
 
 
+# ---------------------------------------------------------------------------
+# verdicts of stages 3-5, pinned (verify_solution and the solve's _screen)
+# ---------------------------------------------------------------------------
+
+VERDICT_ROWS = {
+    "PPP": (3, 1, 0, 0, 0),
+    "PPL": (1, 4, 0, 0, 0),
+    "PLP": (0, 1, 1, 0, 7),
+    "LLL": (0, 0, 0, 5, 1),
+    "PLL": (0, 0, 0, 0, 11),
+}
+PASSED = {
+    "physical": True, "independent_centers": True, "multiview": True,
+    "epipole_clear": True, "all": True,
+}
+# a random configuration breaks the multi-view ranks but keeps clear of the
+# instance's epipoles; dependent centers (or none at all) fail every later stage
+MULTIVIEW_FAILED = {**PASSED, "multiview": False, "all": False}
+CENTERS_FAILED = {
+    "physical": True, "independent_centers": False, "multiview": False,
+    "epipole_clear": False, "all": False,
+}
+# a zero constraint row passes every endpoint through membership (stage 1),
+# so _screen's verdict comes from stages 2-5
+ANY_MEMBERSHIP = np.zeros((1, 27))
+
+
+def kind_instance(cfg, kind, seed=5):
+    """The correspondences of one kind in a consistent instance of a row."""
+    w = slices.ProblemWeights(*VERDICT_ROWS[kind])
+    return [c for c in slices.synthetic_consistent_instance(cfg, w, seed) if c.kind == kind]
+
+
+@pytest.mark.parametrize("abs_tol", [None, 5e-2])
+@pytest.mark.parametrize("kind", sorted(VERDICT_ROWS))
+def test_verdicts_of_planted_and_random_records_per_kind(kind, abs_tol):
+    cfg = real_config(f"verdict-{kind}")
+    instance = kind_instance(cfg, kind)
+    planted = pipeline.record_from_params(cfg.params)
+    stray = pipeline.record_from_params(real_config(f"verdict-{kind}-other").params)
+    assert pipeline.verify_solution(planted, instance, abs_tol=abs_tol) == PASSED
+    assert pipeline.verify_solution(stray, instance, abs_tol=abs_tol) == MULTIVIEW_FAILED
+    assert pipeline._screen(planted.params, ANY_MEMBERSHIP, instance)[0] == "solution"
+    assert pipeline._screen(stray.params, ANY_MEMBERSHIP, instance)[0] == "multiview-fail"
+
+
+def test_verdicts_of_collinear_centers():
+    cfg = real_config("centers")
+    collinear = geometry.CalibratedConfiguration(q2=cfg.q2, q3=cfg.q2, t2=cfg.t2, t3=2.0 * cfg.t2)
+    instance = slices.synthetic_consistent_instance(
+        collinear, slices.ProblemWeights(1, 4, 0, 0, 0), seed=3
+    )
+    rec = pipeline.record_from_params(collinear.params)
+    assert pipeline.verify_solution(rec, instance) == CENTERS_FAILED
+    rows = slices.assemble_special_slice(instance).rows
+    norm_rows = rows / np.linalg.norm(rows, axis=1)[:, None]
+    assert pipeline._screen(rec.params, norm_rows, instance)[0] == "dependent-centers"
+
+
+def test_verdicts_of_a_point_on_an_epipole():
+    """A world point on the baseline of cameras 1 and 2 images onto an
+    epipole in both: the correspondence is consistent, but not clear."""
+    cfg = real_config("on-epipole")
+    a, b, c = cfg.cameras()
+    x = 0.4 * geometry.camera_center(a) + 0.6 * geometry.camera_center(b)
+    y = x + np.array([0.1, 0.2, -0.05, 0.3])
+    on_baseline = slices.Correspondence(
+        kind="PPL", vectors=tuple(geometry.forward_correspondence("PPL", a, b, c, x, y))
+    )
+    instance = kind_instance(cfg, "PPL") + [on_baseline]
+    rec = pipeline.record_from_params(cfg.params)
+    for abs_tol in (None, 5e-2):
+        verdict = pipeline.verify_solution(rec, instance, abs_tol=abs_tol)
+        assert verdict == {**PASSED, "epipole_clear": False, "all": False}
+    assert pipeline._screen(rec.params, ANY_MEMBERSHIP, instance)[0] == "epipole-hit"
+
+
+def test_verdicts_of_a_nan_translation():
+    cfg = real_config("nan")
+    instance = kind_instance(cfg, "PPL")
+    params = cfg.params.copy()
+    params[11] = np.nan
+    rec = pipeline.record_from_params(params)
+    assert pipeline.verify_solution(rec, instance) == CENTERS_FAILED
+    verdict, membership = pipeline._screen(params, ANY_MEMBERSHIP, instance)
+    assert verdict == "outside-special" and np.isnan(membership)
+
+
 def test_reference_solution_passes_loosened_checks():
     sol = json.loads(
         resources.files("trifocal.data").joinpath("reference_solution.json").read_text()
