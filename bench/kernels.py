@@ -18,8 +18,8 @@ correction.
 ``filter_stages`` times each stage of the solve's endpoint filter
 (``pipeline._screen``) on one record: a planted real (1,4,0,0,0)
 configuration, which passes every stage, against its consistent instance.
-"centers" includes building the cameras from the parameters, and
-"multiview" stacking the instance's correspondences.
+"centers" includes building the cameras from the parameters.  Every stage
+reads the instance's ``CorrespondenceStack``, which a solve builds once.
 """
 from __future__ import annotations
 
@@ -104,9 +104,8 @@ def filter_stages() -> dict:
         "membership": lambda: pipeline._membership(p, norm_rows) <= pipeline.MEMBERSHIP_RTOL,
         "physicality": lambda: pipeline._physicality(p),
         "centers": lambda: next(pipeline._stage_checks(
-            geometry.CalibratedConfiguration.from_params(p).cameras(), instance))[1],
-        "multiview": lambda: geometry.multiview_passed(
-            cams, geometry.CorrespondenceStack.of(instance)),
+            geometry.CalibratedConfiguration.from_params(p).cameras(), stack))[1],
+        "multiview": lambda: geometry.multiview_passed(cams, stack),
         "epipoles": lambda: geometry.epipoles_clear(cams, centers, stack),
     }
     failed = [name for name, fn in stages.items() if not fn()]

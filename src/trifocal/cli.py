@@ -62,19 +62,19 @@ class RunConfig:
         return tracker.TrackerConfig(width=self.width)
 
 
+def _quiet(msg: str) -> None:
+    """The logger at ``--log quiet``."""
+
+
 def _logger(cfg: RunConfig):
+    """The run's logger, a callable at every level."""
     if cfg.log == "quiet":
-        return None
+        return _quiet
 
     def log(msg: str) -> None:
         print(f"[trifocal] {msg}", file=sys.stderr, flush=True)
 
     return log
-
-
-def _say(log, msg: str) -> None:
-    if log:
-        log(msg)
 
 
 def _load_json(path, build=None):
@@ -108,18 +108,19 @@ def witness_content_hash(doc: dict) -> str:
 
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     """Return the cached degree when ``path`` already holds a valid build."""
+    log = log or _quiet
     try:
         meta, certified, digest = _load_json(path, _cache_fields)
     except CliError:
-        _say(log, f"{path} is unreadable; rebuilding")
+        log(f"{path} is unreadable; rebuilding")
         return None
     if meta.get("locus") != cfg.locus or not certified:
         return None
     if meta.get("content_hash") != digest:
-        _say(log, f"{path} failed its content-hash check; rebuilding")
+        log(f"{path} failed its content-hash check; rebuilding")
         return None
     if meta.get("build_seed") != cfg.seed:
-        _say(log, f"reusing {path} built with seed {meta.get('build_seed')}")
+        log(f"reusing {path} built with seed {meta.get('build_seed')}")
     return meta["degree"]
 
 
@@ -149,7 +150,7 @@ def cmd_witness(cfg: RunConfig) -> int:
         if degree is not None:
             print(degree)
             return 0
-    _say(log, f"building {cfg.locus} witness set (seed={cfg.seed}, budget={cfg.budget})")
+    log(f"building {cfg.locus} witness set (seed={cfg.seed}, budget={cfg.budget})")
     pws = witness.build_witness(
         cfg.locus,
         seed=cfg.seed,
@@ -161,9 +162,9 @@ def cmd_witness(cfg: RunConfig) -> int:
     _write_witness(out, pws, cfg)
     print(pws.meta["degree"])
     if not pws.certified:
-        _say(log, f"trace test did not certify; uncertified set saved to {out}")
+        log(f"trace test did not certify; uncertified set saved to {out}")
         return 1
-    _say(log, f"certified witness set saved to {out}")
+    log(f"certified witness set saved to {out}")
     return 0
 
 
@@ -174,13 +175,13 @@ def cmd_trace_test(cfg: RunConfig) -> int:
     result = witness.trace_test(pws, cfg=cfg.tracker_config(), tol=cfg.tol_trace, rng=rng)
     print(f"deviation={result.deviation:.3e} passed={result.passed}")
     if result.inconclusive:
-        _say(log, f"inconclusive: {result.detail}")
+        log(f"inconclusive: {result.detail}")
     if result.passed and not pws.certified and cfg.update:
         pws.certified = True
         # what `trifocal trace-test --seed <seed>` needs to re-check the file
         pws.meta["trace"] = {"seed": cfg.seed, "deviation": result.deviation, "tol": cfg.tol_trace}
         _write_witness(cfg.witness_path, pws, cfg)
-        _say(log, f"marked {cfg.witness_path} certified")
+        log(f"marked {cfg.witness_path} certified")
     return 0 if result.passed else 1
 
 
@@ -188,44 +189,25 @@ def cmd_trace_test(cfg: RunConfig) -> int:
 # solving
 # ---------------------------------------------------------------------------
 
-def _run_stored_instance(pws, cfg: RunConfig) -> pipeline.ProblemRun:
-    w, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
-    if cfg.problem and tuple(cfg.problem) != w.as_tuple():
-        raise CliError(
-            f"--problem {cfg.problem} does not match the stored instance's {w.as_tuple()}"
-        )
-    records, report = pipeline.solve_instance(
-        pws, instance, seed=cfg.seed, cfg=cfg.tracker_config()
-    )
-    return pipeline.ProblemRun(
-        weights=w,
-        degree=len(records),
-        records=records,
-        report=report,
-        instance=instance,
-        seed=cfg.seed,
-        attempts=1,
-    )
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     log = _logger(cfg)
     pws = _load_json(cfg.witness_path, witness.witness_from_dict)
-    try:
-        if cfg.instance_path:
-            run = _run_stored_instance(pws, cfg)
-        else:
-            if not cfg.problem:
-                raise CliError("either --problem or --instance is required")
-            w = slices.ProblemWeights(*cfg.problem)
-            run = pipeline.solve_problem(
-                pws,
-                w,
-                cfg.seed,
-                cfg=cfg.tracker_config(),
-                max_attempts=cfg.max_attempts,
+    instance = None
+    if cfg.instance_path:
+        w, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
+        if cfg.problem and tuple(cfg.problem) != w.as_tuple():
+            raise CliError(
+                f"--problem {cfg.problem} does not match the stored instance's {w.as_tuple()}"
             )
-    except (pipeline.PipelineError, slices.DegenerateInstanceError) as err:
+    elif cfg.problem:
+        w = slices.ProblemWeights(*cfg.problem)
+    else:
+        raise CliError("either --problem or --instance is required")
+    try:
+        run = pipeline.solve_problem(
+            pws, w, cfg.seed, cfg.tracker_config(), max_attempts=cfg.max_attempts, instance=instance
+        )
+    except pipeline.PipelineError as err:
         raise CliError(str(err))
     print(f"degree={run.degree}")
     print(run.report.summary())
@@ -235,7 +217,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     )
     doc = pipeline.solution_document(run, instance_meta={"run_config": cfg.to_dict()})
     jsonio.dump_json(out, doc)
-    _say(log, f"solution file saved to {out}")
+    log(f"solution file saved to {out}")
     return 0
 
 
@@ -257,18 +239,18 @@ def cmd_table(cfg: RunConfig) -> int:
             )
             ok = run.degree == exp
             lines.append("\t".join(cols + [str(run.degree), str(exp), "yes" if ok else "no"]))
-            _say(log, f"[{idx}/{len(problems)}] {w.as_tuple()} -> {run.degree} (expected {exp})")
-        except (pipeline.PipelineError, slices.DegenerateInstanceError) as err:
+            log(f"[{idx}/{len(problems)}] {w.as_tuple()} -> {run.degree} (expected {exp})")
+        except pipeline.PipelineError as err:
             ok = False
             lines.append("\t".join(cols + ["error", str(exp), "no"]))
-            _say(log, f"[{idx}/{len(problems)}] {w.as_tuple()} failed: {err}")
+            log(f"[{idx}/{len(problems)}] {w.as_tuple()} failed: {err}")
         all_ok = all_ok and ok
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if cfg.out_path:
         header = "# run_config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
         Path(cfg.out_path).write_text(header + text)
-        _say(log, f"table saved to {cfg.out_path}")
+        log(f"table saved to {cfg.out_path}")
     return 0 if all_ok else 1
 
 
@@ -311,24 +293,25 @@ def cmd_verify(cfg: RunConfig) -> int:
         _, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
     elif instance is None:
         raise CliError(f"{cfg.solution_path}: embeds no instance, and no --instance was given")
+    stack = geometry.CorrespondenceStack.of(instance)
     checks = ("physical", "independent_centers", "multiview", "epipole_clear")
     tallies = {name: 0 for name in checks}
     passed = 0
     for i, rec in enumerate(records):
         verdicts = pipeline.verify_solution(
-            rec, instance, abs_tol=cfg.tol_verify, epipole_tol=cfg.tol_epipole
+            rec, stack, abs_tol=cfg.tol_verify, epipole_tol=cfg.tol_epipole
         )
         for name in checks:
             tallies[name] += bool(verdicts[name])
         passed += bool(verdicts["all"])
         if not verdicts["all"]:
             failed = [n for n in checks if not verdicts[n]]
-            _say(log, f"record {i} failed: {', '.join(failed)}")
+            log(f"record {i} failed: {', '.join(failed)}")
     n = len(records)
     print(" ".join(f"{name}={tallies[name]}/{n}" for name in checks))
     print(f"passed={passed}/{n}")
     if "real_solution_count" in doc:
-        _say(log, f"stated real solution count: {doc['real_solution_count']}")
+        log(f"stated real solution count: {doc['real_solution_count']}")
     return 0 if passed == n else 1
 
 

@@ -427,6 +427,9 @@ class CorrespondenceStack:
 
     @classmethod
     def of(cls, correspondences) -> "CorrespondenceStack":
+        """The stack of a list of correspondences; a stack is its own."""
+        if isinstance(correspondences, cls):
+            return correspondences
         v = np.array([c.vectors for c in correspondences], dtype=complex).reshape(-1, 3, 3)
         v /= np.linalg.norm(v, axis=-1, keepdims=True)
         kinds = [c.kind for c in correspondences]
@@ -558,16 +561,10 @@ def epipoles_clear(cams, centers, stack: CorrespondenceStack, tol: float = EPIPO
     return bool((_clearances(stack, epipoles) > tol).all())
 
 
-def all_epipoles(a, b, c, centers=None) -> dict[tuple[int, int], np.ndarray]:
-    """The six epipoles e[(i, j)] = image under camera i of center j
-    (``centers``: the cameras' ``camera_center``s, when already known)."""
+def all_epipoles(a, b, c) -> dict[tuple[int, int], np.ndarray]:
+    """The six epipoles e[(i, j)] = image under camera i of center j."""
     cams = _as_cameras((a, b, c))
-    if centers is None:
-        centers = camera_centers(cams)
-    else:
-        centers = np.asarray(centers, dtype=complex)
-        centers = centers / np.linalg.norm(centers, axis=-1, keepdims=True)
-    e = _epipoles(cams, centers)
+    e = _epipoles(cams, camera_centers(cams))
     return {
         (i, j): numlin.normalize_projective(e[i, j]) for i in range(3) for j in range(3) if i != j
     }
@@ -585,6 +582,21 @@ def epipole_clearance(data: "Correspondence", epipoles: dict) -> float:
     return float(_clearances(CorrespondenceStack.of([data]), e).min())
 
 
+def consistency_checker(a, b, c):
+    """``consistency_check`` against one camera triple, whose centers and
+    epipoles (and their errors) are found once, here."""
+    cams = _as_cameras((a, b, c))
+    epipoles = _epipoles(cams, camera_centers(cams))
+
+    def check(data: "Correspondence") -> bool:
+        stack = CorrespondenceStack.of([data])
+        if not multiview_passed(cams, stack):
+            return False
+        return bool((_clearances(stack, epipoles) > EPIPOLE_TOL).all())
+
+    return check
+
+
 def consistency_check(a, b, c, data: "Correspondence") -> bool:
     """Multi-view membership plus epipole avoidance.
 
@@ -593,12 +605,7 @@ def consistency_check(a, b, c, data: "Correspondence") -> bool:
     both epipoles in its image. Raises UndefinedEpipoleError for camera
     pairs with identical centers.
     """
-    cams = _as_cameras((a, b, c))
-    epipoles = _epipoles(cams, camera_centers(cams))
-    stack = CorrespondenceStack.of([data])
-    if not multiview_passed(cams, stack):
-        return False
-    return bool((_clearances(stack, epipoles) > EPIPOLE_TOL).all())
+    return consistency_checker(a, b, c)(data)
 
 
 # ---------------------------------------------------------------------------

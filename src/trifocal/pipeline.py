@@ -142,11 +142,12 @@ def conjugate_params(params) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _physicality(params) -> bool:
+    """|q . q| / |q|^2 >= ``PHYSICALITY_TOL`` for both quaternions (NaN fails)."""
     p = np.asarray(params, dtype=complex).reshape(13)
     for lo, hi in ((0, 4), (4, 8)):
         q = p[lo:hi]
         n = np.linalg.norm(q)
-        if n == 0 or abs(np.sum(q**2)) / n**2 < PHYSICALITY_TOL:
+        if n == 0 or not abs(np.sum(q**2)) / n**2 >= PHYSICALITY_TOL:
             return False
     return True
 
@@ -157,7 +158,8 @@ def _stage_checks(cams, instance, abs_tol=None, epipole_tol=geometry.EPIPOLE_TOL
     stack and one of its centers, one stacked rank test per correspondence
     kind, and one array of epipole clearances.  Dependent centers fail the
     later stages too; a caller that stops at the first failure skips their
-    work."""
+    work.  ``instance`` (here, in ``_screen`` and in ``verify_solution``)
+    is the correspondences or their ``geometry.CorrespondenceStack``."""
     try:
         centers = geometry.camera_centers(cams)
     except geometry.DegenerateCameraError:
@@ -244,8 +246,7 @@ def solve_instance(
     special = slices.assemble_special_slice(instance)
     rng = seeds.child_rng(seed, "solve", special.rows.shape[0])
     randomized = slices.randomize_slice(special, rng)
-    target = witness.WitnessSlice(randomized.rows, np.zeros(11, dtype=complex))
-    endpoints = witness.move_to_slice(pws, target, cfg)
+    endpoints = witness.move_to_slice(pws, randomized, cfg)
 
     total = len(endpoints)
     failed = sum(not e.finite for e in endpoints)
@@ -257,8 +258,9 @@ def solve_instance(
 
     row_norms = np.linalg.norm(special.rows, axis=1)
     norm_rows = special.rows / row_norms[:, None]
+    stack = geometry.CorrespondenceStack.of(instance)
     screened = [
-        _screen(e.point, norm_rows, instance) if e.finite else ("path-failed", None)
+        _screen(e.point, norm_rows, stack) if e.finite else ("path-failed", None)
         for e in endpoints
     ]
     verdicts = [v for v, _ in screened]
@@ -307,23 +309,24 @@ def solve_problem(
     seed: int,
     cfg: tracker.TrackerConfig | None = None,
     max_attempts: int = 3,
+    instance: list | None = None,
 ) -> ProblemRun:
-    """Solve a random instance of the problem and report its solution count.
+    """Solve ``instance`` (a stored instance of the problem ``w``, or None
+    for a random one) and report its solution count.
 
-    ``seed`` and ``cfg`` pass straight to ``solve_instance``; the chunk
-    width travels inside ``cfg`` (``TrackerConfig.width``).
-
-    Reliability failures retry with fresh randomization. Every computed
-    count must be divisible by 8 (a symmetry of the solution sets); a count
-    that is not is treated as a failed run rather than reported.
+    Attempt k runs ``solve_instance`` with seed ``seed + 1000 (k - 1)`` and
+    ``cfg``, on the stored instance or on the random instance of that seed.
+    Reliability failures retry, up to ``max_attempts`` attempts in all.
+    Every computed count must be divisible by 8 (a symmetry of the solution
+    sets); a count that is not is treated as a failed attempt rather than
+    reported.
     """
     last_error: Exception | None = None
     for attempt in range(1, max_attempts + 1):
-        instance = slices.random_instance(w, seed + 1000 * (attempt - 1))
+        attempt_seed = seed + 1000 * (attempt - 1)
+        solved = instance if instance is not None else slices.random_instance(w, attempt_seed)
         try:
-            records, report = solve_instance(
-                pws, instance, seed=seed + 1000 * (attempt - 1), cfg=cfg
-            )
+            records, report = solve_instance(pws, solved, seed=attempt_seed, cfg=cfg)
         except (ReliabilityError, slices.DegenerateInstanceError) as err:
             last_error = err
             continue
@@ -339,7 +342,7 @@ def solve_problem(
             degree=degree,
             records=records,
             report=report,
-            instance=instance,
+            instance=solved,
             seed=seed,
             attempts=attempt,
         )

@@ -37,10 +37,12 @@ class Correspondence:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown correspondence kind {self.kind!r}")
-        vecs = tuple(numlin.normalize_projective(v) for v in self.vectors)
+        vecs = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
         if len(vecs) != 3:
             raise ValueError("a correspondence holds exactly three vectors")
-        object.__setattr__(self, "vectors", vecs)
+        if not all(np.isfinite(v).all() and v.any() for v in vecs):
+            raise ValueError(f"{self.kind} correspondence has a non-finite or zero vector")
+        object.__setattr__(self, "vectors", tuple(numlin.normalize_projective(v) for v in vecs))
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def synthetic_consistent_instance(
     real = bool(np.all(np.abs(np.imag(cfg.params)) < 1e-14))
     rng = child_rng(seed, "synthetic", w.as_tuple())
     # degenerate cameras or coincident centers must fail loudly before sampling
-    geometry.all_epipoles(a, b, c)
+    consistent = geometry.consistency_checker(a, b, c)
 
     out = []
     for kind in w.kind_sequence():
@@ -225,7 +227,7 @@ def synthetic_consistent_instance(
             if not raw_ok:
                 continue
             corr = Correspondence(kind=kind, vectors=tuple(geometry.forward_correspondence(kind, a, b, c, x, y)))
-            if geometry.consistency_check(a, b, c, corr):
+            if consistent(corr):
                 out.append(corr)
                 break
         else:

@@ -186,26 +186,24 @@ class TwoSystemHomotopy:
             pair = self.start.value_at(z), self.target.value_at(z)
         return tuple(np.array(a, dtype=complex) for a in pair)
 
-    def _combined(self, z, s, derivative: bool = False):
-        """gamma * s * start + (1 - s) * target, formed in the start array."""
+    def _combined(self, z, a, b, derivative: bool = False):
+        """a * start + b * target, formed in the start array."""
         start, target = self.systems(z, derivative)
-        c = s.reshape(s.shape + (1,) * (start.ndim - 1))
-        start *= self.gamma * c
-        target *= 1.0 - c
+        start *= a
+        target *= b
         start += target
         return start
 
     def value(self, z, s):
-        return self._combined(z, s)
+        c = s[..., None]
+        return self._combined(z, self.gamma * c, 1.0 - c)
 
     def jacobian(self, z, s):
-        return self._combined(z, s, derivative=True)
+        c = s[..., None, None]
+        return self._combined(z, self.gamma * c, 1.0 - c, derivative=True)
 
     def s_partial(self, z, s):
-        start, target = self.systems(z)
-        start *= self.gamma
-        start -= target
-        return start
+        return self._combined(z, self.gamma, -1.0)
 
 
 def _solve_rows(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -452,6 +452,11 @@ def move_points(
     return tracker.track_batch(hom, np.atleast_2d(np.asarray(points, dtype=complex)), cfg)
 
 
+def _phased(cfg: tracker.TrackerConfig, rng: np.random.Generator | None) -> tracker.TrackerConfig:
+    """``cfg`` with a random unit ``gamma`` (one draw of ``rng``); ``cfg`` without ``rng``."""
+    return cfg if rng is None else replace(cfg, gamma=np.exp(2j * np.pi * rng.random()))
+
+
 def move_to_slice(
     pws: PseudoWitnessSet,
     target,
@@ -574,18 +579,14 @@ def run_trace_test(
         coords = None
         problem = ""
         for _ in range(3 if rng is not None else 1):
-            leg_cfg = cfg
-            if rng is not None:
-                leg_cfg = replace(cfg, gamma=np.exp(2j * np.pi * rng.random()))
-            ends = move_points(var, slc, shifted, pts, leg_cfg)
+            ends = move_points(var, slc, shifted, pts, _phased(cfg, rng))
             cand = np.array([e.point for e in ends])
             status = [e.status for e in ends]
             failed = [i for i, st in enumerate(status) if st != tracker.SUCCESS]
             rounds = 2 if rng is not None else 0
             while failed and rounds > 0:
                 rounds -= 1
-                retry_cfg = replace(cfg, gamma=np.exp(2j * np.pi * rng.random()))
-                redo = move_points(var, slc, shifted, pts[failed], retry_cfg)
+                redo = move_points(var, slc, shifted, pts[failed], _phased(cfg, rng))
                 still = []
                 for i, e in zip(failed, redo):
                     cand[i] = e.point
@@ -677,7 +678,7 @@ def monodromy_populate(
         waypoints = [slc, random_slice(var, rng), random_slice(var, rng), slc]
         cur = pts
         for a, b in zip(waypoints, waypoints[1:]):
-            ends = move_points(var, a, b, cur, replace(cfg, gamma=np.exp(2j * np.pi * rng.random())))
+            ends = move_points(var, a, b, cur, _phased(cfg, rng))
             cur = np.array([e.point for e in ends if e.status == tracker.SUCCESS])
             if cur.size == 0:
                 break

@@ -406,6 +406,126 @@ def test_bad_instance_file_is_one_named_error(tmp_path, capsys, cmd, broken):
     assert not (tmp_path / "sol.json").exists()
 
 
+def _instance_with_vector(tmp_path, pairs):
+    """The reference instance with its first correspondence's second vector
+    replaced by ``pairs`` ([re, im] per coordinate)."""
+    doc = json.loads(data_path("reference_instance.json").read_text())
+    doc["correspondences"][0]["vectors"][1] = pairs
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "pairs",
+    [[[float("nan"), 0.0], [1.0, 0.0], [0.5, 0.0]],
+     [[1.0, 0.0], [float("inf"), 0.0], [0.5, 0.0]],
+     [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+    ids=["nan", "inf", "zero"],
+)
+def test_non_finite_or_zero_instance_vector_is_malformed(tmp_path, capsys, cmd, pairs):
+    inst = _instance_with_vector(tmp_path, pairs)
+    if cmd == "solve":
+        witness_file = tmp_path / "w.json"
+        make_fake_witness(witness_file)
+        argv = ["solve", "--witness", str(witness_file), "--out", str(tmp_path / "sol.json")]
+    else:
+        argv = ["verify", "--solution", str(data_path("reference_solution.json"))]
+    rc = cli.main(argv + ["--instance", str(inst), "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {inst}: malformed (")
+    assert "non-finite or zero" in lines[0]
+    assert not (tmp_path / "sol.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# a stored instance goes through the same attempts as a random one
+# ---------------------------------------------------------------------------
+
+def _solve_stored(tmp_path, monkeypatch, outcome, extra=()):
+    """``solve --instance`` on the reference instance with
+    ``pipeline.solve_instance`` replaced by ``outcome(attempt)``, which
+    raises or returns a record count: the exit status, and the (seed,
+    instance) of each attempt."""
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    calls = []
+
+    def fake_solve(pws, instance, seed=0, cfg=None):
+        calls.append((seed, instance))
+        count = outcome(len(calls))
+        report = pipeline.FilterReport(
+            total_paths=count, stage_counts=(count,) * 7, verdicts=()
+        )
+        return [None] * count, report
+
+    monkeypatch.setattr(pipeline, "solve_instance", fake_solve)
+    argv = ["solve", "--witness", str(witness_file), "--seed", "4",
+            "--instance", str(data_path("reference_instance.json")),
+            "--out", str(tmp_path / "sol.json"), "--log", "quiet", *extra]
+    rc = cli.main(argv)
+    return rc, calls
+
+
+def _flaky(attempt):
+    if attempt == 1:
+        raise pipeline.ReliabilityError("flaky tracking")
+    return 0
+
+
+def test_stored_instance_retries_a_reliability_failure(tmp_path, monkeypatch):
+    rc, calls = _solve_stored(tmp_path, monkeypatch, _flaky)
+    assert rc == 0
+    assert [seed for seed, _ in calls] == [4, 1004]
+    _, _, stored = slices.load_instance(data_path("reference_instance.json"))
+    for _, instance in calls:
+        assert [c.kind for c in instance] == [c.kind for c in stored]
+        for c, d in zip(instance, stored):
+            assert all(np.array_equal(u, v) for u, v in zip(c.vectors, d.vectors))
+    doc = json.loads((tmp_path / "sol.json").read_text())
+    assert (doc["attempts"], doc["seed"], doc["degree"]) == (2, 4, 0)
+
+
+def test_max_attempts_bounds_stored_instance_retries(tmp_path, monkeypatch, capsys):
+    def always_fails(attempt):
+        raise pipeline.ReliabilityError("flaky tracking")
+
+    rc, calls = _solve_stored(tmp_path, monkeypatch, always_fails, ["--max-attempts", "2"])
+    assert rc == 1
+    assert [seed for seed, _ in calls] == [4, 1004]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "in 2 attempts" in lines[0] and "flaky tracking" in lines[0]
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_stored_instance_count_not_divisible_by_eight_is_an_error(tmp_path, monkeypatch, capsys):
+    rc, calls = _solve_stored(tmp_path, monkeypatch, lambda attempt: 7)
+    assert rc == 1
+    assert len(calls) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "not divisible by 8" in lines[0]
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_verify_stacks_the_instance_once(tmp_path, monkeypatch, capsys):
+    sol = tmp_path / "sol.json"
+    make_solution_file(sol)
+    doc = json.loads(sol.read_text())
+    doc["solutions"] *= 4
+    sol.write_text(json.dumps(doc))
+    built = []
+    of = geometry.CorrespondenceStack.of
+    monkeypatch.setattr(
+        geometry.CorrespondenceStack, "of",
+        lambda corrs: built.append(corrs) or of(corrs),
+    )
+    assert cli.main(["verify", "--solution", str(sol), "--log", "quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "passed=4/4"
+    assert sum(isinstance(c, list) for c in built) == 1
+
+
 @pytest.mark.parametrize("doc", [{}, {"solutions": []}])
 def test_unusable_solution_file_is_one_named_error(tmp_path, capsys, doc):
     sol = tmp_path / "sol.json"

@@ -87,6 +87,21 @@ def test_physicality_filter():
     assert not pipeline._physicality(near)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_physicality_refuses_non_finite_quaternions(bad):
+    """A NaN or infinite quaternion is no physical rotation, in the solve's
+    filter and in ``trifocal verify`` alike."""
+    cfg = real_config("phys-nan")
+    instance = kind_instance(cfg, "PPL")
+    for lo in (0, 4):
+        params = cfg.params.copy()
+        params[lo + 1] = bad
+        assert not pipeline._physicality(params)
+        record = pipeline.record_from_params(params)
+        assert not pipeline.verify_solution(record, instance)["physical"]
+
+
 def test_independent_centers_detects_collinear_triple():
     cfg = real_config("centers")
     assert pipeline._independent_centers(cfg.cameras())
@@ -343,6 +358,48 @@ def test_solve_problem_rejects_counts_not_divisible_by_eight(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_instance", fake_solve)
     with pytest.raises(pipeline.PipelineError, match="divisible by 8"):
         pipeline.solve_problem(object(), w, seed=5, max_attempts=2)
+
+
+def test_solve_problem_solves_a_stored_instance_on_every_attempt(monkeypatch):
+    w = slices.ProblemWeights(0, 1, 1, 0, 7)
+    stored = slices.random_instance(w, seed=77)
+    seen = []
+
+    def fake_solve(pws, instance, seed=0, cfg=None):
+        seen.append((seed, instance))
+        if len(seen) == 1:
+            raise pipeline.ReliabilityError("flaky tracking")
+        report = pipeline.FilterReport(total_paths=0, stage_counts=(0,) * 7, verdicts=())
+        return [], report
+
+    monkeypatch.setattr(pipeline, "solve_instance", fake_solve)
+    run = pipeline.solve_problem(object(), w, seed=5, instance=stored)
+    assert [seed for seed, _ in seen] == [5, 1005]
+    assert all(instance is stored for _, instance in seen)
+    assert (run.attempts, run.seed, run.instance) == (2, 5, stored)
+
+
+def test_solve_instance_stacks_the_instance_once(monkeypatch):
+    """Every endpoint's stages 3-5 read one CorrespondenceStack."""
+    cfg = real_config("stack-once")
+    instance = slices.synthetic_consistent_instance(
+        cfg, slices.ProblemWeights(1, 4, 0, 0, 0), seed=3
+    )
+    endpoint = tracker.TrackedEndpoint(
+        point=cfg.params.copy(), status=tracker.SUCCESS, residual=1e-15,
+        contraction=0.0, steps=1, winding=1,
+    )
+    monkeypatch.setattr(witness, "move_to_slice", lambda pws, target, cfg=None: [endpoint] * 3)
+    built = []
+    of = geometry.CorrespondenceStack.of
+    monkeypatch.setattr(
+        geometry.CorrespondenceStack, "of",
+        lambda corrs: built.append(corrs) or of(corrs),
+    )
+    pws = types.SimpleNamespace(certified=True)
+    _, report = pipeline.solve_instance(pws, instance, failure_budget=1.0)
+    assert report.verdicts == ("solution", "duplicate", "duplicate")
+    assert sum(isinstance(c, list) for c in built) == 1
 
 
 def test_solution_document_and_table_row_shape():

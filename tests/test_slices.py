@@ -233,6 +233,24 @@ def test_synthetic_consistent_instance_shared_centers():
         slices.synthetic_consistent_instance(cfg, slices.ProblemWeights(0, 0, 0, 0, 11), seed=64)
 
 
+def test_synthetic_consistent_instance_finds_the_centers_once(monkeypatch):
+    cfg = geometry.random_configuration(np.random.default_rng(66), real=True)
+    calls = []
+    centers = geometry.camera_centers
+    monkeypatch.setattr(geometry, "camera_centers", lambda cams: calls.append(1) or centers(cams))
+    inst = slices.synthetic_consistent_instance(cfg, slices.ProblemWeights(1, 4, 0, 0, 0), seed=67)
+    assert len(inst) == 5
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0.0, 1.0], [1.0, np.inf, 0.0], [0.0, 0.0, 0.0]], ids=["nan", "inf", "zero"]
+)
+def test_correspondence_rejects_non_finite_and_zero_vectors(bad):
+    with pytest.raises(ValueError, match="non-finite or zero"):
+        slices.Correspondence(kind="PPL", vectors=([1.0, 2.0, 3.0], np.array(bad), [0.5, 0.1, 1.0]))
+
+
 def test_instance_json_roundtrip(tmp_path):
     w = slices.ProblemWeights(1, 2, 1, 1, 0)
     inst = slices.random_instance(w, seed=65, complex_data=True)
