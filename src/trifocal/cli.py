@@ -16,6 +16,8 @@ is 0 exactly when everything requested certified or passed.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -25,14 +27,14 @@ from pathlib import Path
 
 from . import geometry, jsonio, pipeline, seeds, slices, tracker, witness
 
-DEFAULT_BUDGET = 200
 LOG_LEVELS = ("quiet", "info")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one CLI invocation (defaults for the options its
-    subcommand does not accept); serialized into output meta."""
+    """Resolved options for one CLI invocation, serialized into output meta;
+    its defaults are the CLI's only defaults (for options not given, and for
+    options the subcommand does not accept)."""
 
     command: str
     seed: int = 0
@@ -43,7 +45,7 @@ class RunConfig:
     solution_path: str | None = None
     out_path: str | None = None
     rows: int | None = None
-    budget: int = DEFAULT_BUDGET
+    budget: int = 200
     width: int = 0
     max_attempts: int = 3
     log: str = "info"
@@ -77,14 +79,22 @@ def _logger(cfg: RunConfig):
     return log
 
 
+@contextlib.contextmanager
+def _os_errors(path):
+    """Report an OSError raised in the block as a CliError naming ``path``."""
+    try:
+        yield
+    except OSError as err:
+        raise CliError(f"{path}: {err.strerror or err}")
+
+
 def _load_json(path, build=None):
     """A witness, instance or solution file's document, or the object that
     ``build`` makes of it; every failure is a CliError naming ``path``."""
     try:
-        doc = jsonio.parse_json(Path(path).read_bytes())
-        return build(doc) if build else doc
-    except OSError as err:
-        raise CliError(f"{path}: {err.strerror or err}")
+        with _os_errors(path):
+            doc = jsonio.parse_json(Path(path).read_bytes())
+            return build(doc) if build else doc
     except json.JSONDecodeError as err:
         raise CliError(f"{path}:{err.lineno}:{err.colno}: {err.msg}")
     except (KeyError, ValueError, TypeError, pipeline.PipelineError) as err:
@@ -139,7 +149,8 @@ def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:
     doc = witness.witness_to_dict(pws)
     doc["meta"]["content_hash"] = witness_content_hash(doc)
     doc["meta"]["run_config"] = cfg.to_dict()
-    jsonio.dump_json(path, doc)
+    with _os_errors(path):
+        jsonio.dump_json(path, doc)
 
 
 def cmd_witness(cfg: RunConfig) -> int:
@@ -216,7 +227,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         "solution_" + "".join(map(str, run.weights.as_tuple())) + f"_seed{cfg.seed}.json"
     )
     doc = pipeline.solution_document(run, instance_meta={"run_config": cfg.to_dict()})
-    jsonio.dump_json(out, doc)
+    with _os_errors(out):
+        jsonio.dump_json(out, doc)
     log(f"solution file saved to {out}")
     return 0
 
@@ -249,7 +261,8 @@ def cmd_table(cfg: RunConfig) -> int:
     sys.stdout.write(text)
     if cfg.out_path:
         header = "# run_config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
-        Path(cfg.out_path).write_text(header + text)
+        with _os_errors(cfg.out_path):
+            Path(cfg.out_path).write_text(header + text)
         log(f"table saved to {cfg.out_path}")
     return 0 if all_ok else 1
 
@@ -345,49 +358,49 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  An option that is not given is left out of the
+    namespace, so ``RunConfig`` holds every default."""
     parser = argparse.ArgumentParser(
         prog="trifocal",
         description="Witness sets and minimal-problem degrees for calibrated three-view geometry.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    no_defaults = functools.partial(argparse.ArgumentParser, argument_default=argparse.SUPPRESS)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_defaults)
 
     # each parent holds options that every subcommand it is attached to reads
-    log, tracking, out, trace, checks = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    log.add_argument("--log", choices=LOG_LEVELS, default="info", help="stderr verbosity")
-    tracking.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
-    tracking.add_argument("--width", type=_at_least(0), default=0,
+    log, tracking, out, trace, checks = (no_defaults(add_help=False) for _ in range(5))
+    log.add_argument("--log", choices=LOG_LEVELS, help="stderr verbosity")
+    tracking.add_argument("--seed", type=int, help="master seed for all randomness")
+    tracking.add_argument("--width", type=_at_least(0),
                           help="paths tracked in lockstep per chunk (0 = all at once)")
-    out.add_argument("--out", dest="out_path", default=None, help="output file path")
-    trace.add_argument("--tol-trace", type=_tolerance, default=witness.TRACE_TOL,
-                       help="completeness certificate tolerance")
-    checks.add_argument("--tol-verify", type=_tolerance, default=None,
+    out.add_argument("--out", dest="out_path", help="output file path")
+    trace.add_argument("--tol-trace", type=_tolerance, help="completeness certificate tolerance")
+    checks.add_argument("--tol-verify", type=_tolerance,
                         help="absolute rank tolerance for verification (default: rank-ratio test)")
-    checks.add_argument("--tol-epipole", type=_tolerance, default=geometry.EPIPOLE_TOL,
-                        help="minimum epipole clearance")
+    checks.add_argument("--tol-epipole", type=_tolerance, help="minimum epipole clearance")
 
     p = sub.add_parser("witness", parents=[log, tracking, out, trace],
                        help="build and certify a witness set")
-    p.add_argument("--locus", choices=witness.LOCI, default="cal")
-    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_BUDGET, help="monodromy loop budget")
+    p.add_argument("--locus", choices=witness.LOCI)
+    p.add_argument("--budget", type=_at_least(1), help="monodromy loop budget")
     p.add_argument("--force", action="store_true", help="rebuild even when a valid file exists")
 
     p = sub.add_parser("solve", parents=[log, tracking, out], help="solve one minimal problem")
     p.add_argument("--witness", dest="witness_path", required=True)
-    p.add_argument("--problem", type=_problem_arg, default=None,
-                   help="comma-separated weights, e.g. 1,4,0,0,0")
-    p.add_argument("--instance", dest="instance_path", default=None,
+    p.add_argument("--problem", type=_problem_arg, help="comma-separated weights, e.g. 1,4,0,0,0")
+    p.add_argument("--instance", dest="instance_path",
                    help="solve this stored instance instead of a random one")
-    p.add_argument("--max-attempts", type=_at_least(1), default=3)
+    p.add_argument("--max-attempts", type=_at_least(1))
 
     p = sub.add_parser("table", parents=[log, tracking, out],
                        help="tabulate all minimal-problem degrees")
     p.add_argument("--witness", dest="witness_path", required=True)
-    p.add_argument("--rows", type=_at_least(0), default=None, help="only the first N problems")
-    p.add_argument("--max-attempts", type=_at_least(1), default=3)
+    p.add_argument("--rows", type=_at_least(0), help="only the first N problems")
+    p.add_argument("--max-attempts", type=_at_least(1))
 
     p = sub.add_parser("verify", parents=[log, checks], help="re-check a solution file")
     p.add_argument("--solution", dest="solution_path", required=True)
-    p.add_argument("--instance", dest="instance_path", default=None)
+    p.add_argument("--instance", dest="instance_path")
 
     p = sub.add_parser("trace-test", parents=[log, tracking, trace],
                        help="re-run the completeness certificate on a witness file")
@@ -416,6 +429,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
+        if cfg.out_path and not Path(cfg.out_path).parent.is_dir():  # refused before any work
+            raise CliError(f"{cfg.out_path}: {Path(cfg.out_path).parent} is not a directory")
         return _COMMANDS[cfg.command](cfg)
     except (CliError, witness.WitnessError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -56,7 +56,8 @@ class PipelineError(RuntimeError):
 
 
 class ReliabilityError(PipelineError):
-    """Too many tracked paths failed for the counts to be trusted."""
+    """A failure another randomization seed may cure: too many tracked paths
+    failed for the counts to be trusted, or the randomized slice lost rank."""
 
 
 @dataclass(frozen=True)
@@ -234,8 +235,10 @@ def solve_instance(
     (``TrackerConfig.width``) included.  Endpoints that the tracker reports
     finite (``TrackedEndpoint.finite``: regular ones, and singular ones the
     endgame finished) enter stage ``finite``; every other path counts as
-    failed.  Raises ReliabilityError when more than ``failure_budget`` of
-    the paths fail; the caller should re-randomize and retry.
+    failed.  Raises ReliabilityError when the randomized slice loses rank
+    or more than ``failure_budget`` of the paths fail; the caller should
+    re-randomize and retry.  A degenerate instance raises
+    ``slices.DegenerateInstanceError``.
 
     Each endpoint's verdict names the first stage it fails (``VERDICTS``
     lists them in stage order), so the count that survives stage k is the
@@ -245,7 +248,10 @@ def solve_instance(
         raise PipelineError("instance solving requires a certified witness set")
     special = slices.assemble_special_slice(instance)
     rng = seeds.child_rng(seed, "solve", special.rows.shape[0])
-    randomized = slices.randomize_slice(special, rng)
+    try:
+        randomized = slices.randomize_slice(special, rng)
+    except slices.DegenerateInstanceError as err:  # an unlucky draw of the seed
+        raise ReliabilityError(str(err)) from err
     endpoints = witness.move_to_slice(pws, randomized, cfg)
 
     total = len(endpoints)
@@ -316,8 +322,10 @@ def solve_problem(
 
     Attempt k runs ``solve_instance`` with seed ``seed + 1000 (k - 1)`` and
     ``cfg``, on the stored instance or on the random instance of that seed.
-    Reliability failures retry, up to ``max_attempts`` attempts in all.
-    Every computed count must be divisible by 8 (a symmetry of the solution
+    Reliability failures retry, up to ``max_attempts`` attempts in all, and
+    so does a degenerate random instance; a degenerate stored instance is
+    the same on every attempt, so its first failure ends the run.  Every
+    computed count must be divisible by 8 (a symmetry of the solution
     sets); a count that is not is treated as a failed attempt rather than
     reported.
     """
@@ -328,6 +336,8 @@ def solve_problem(
         try:
             records, report = solve_instance(pws, solved, seed=attempt_seed, cfg=cfg)
         except (ReliabilityError, slices.DegenerateInstanceError) as err:
+            if instance is not None and isinstance(err, slices.DegenerateInstanceError):
+                raise PipelineError(f"stored instance of {w.as_tuple()} is degenerate: {err}")
             last_error = err
             continue
         degree = len(records)

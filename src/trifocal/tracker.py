@@ -8,14 +8,15 @@ same engine.
 
 Every homotopy is a ``TwoSystemHomotopy``, gamma * s * start + (1 - s) *
 target; its value and both partials read the (start, target) pair from
-``systems``, the one method a subclass overrides (``witness.SliceHomotopy``
-evaluates the two sliced systems together).  ``systems`` returns two new
-complex arrays on every call, and only the homotopy that asked for them
-writes into them: ``value``, ``jacobian`` and ``s_partial`` combine the
-pair in place and return the start array, so an evaluation allocates no
-temporary the size of its result.  The base class therefore copies what
-its ``SquareSystem`` callables return, since those may hand out a cached
-or real array; a subclass must never return an array someone else holds.
+``systems``, the one evaluation a subclass overrides
+(``witness.SliceHomotopy`` evaluates the two sliced systems together and
+holds no ``SquareSystem``).  ``systems`` returns two new complex arrays on
+every call, and only the homotopy that asked for them writes into them:
+``value``, ``jacobian`` and ``s_partial`` combine the pair in place and
+return the start array, so an evaluation allocates no temporary the size
+of its result.  The base class therefore copies what its ``SquareSystem``
+callables return, since those may hand out a cached or real array; a
+subclass must never return an array someone else holds.
 
 The tracker evaluates a homotopy in four places only: ``_tangent`` (the
 predictor's dz/ds), ``_newton_step`` (the one Newton correction, shared by

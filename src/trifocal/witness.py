@@ -13,6 +13,7 @@ oracles through the identical code paths.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -107,6 +108,13 @@ def _slice_matrix(var: ParametrizedVariety, slices) -> tuple[np.ndarray, np.ndar
     A slice asks rows @ f = constants * chart(f).  On a projective variety
     chart(f) = chart @ f, so its matrix is rows - constants (x) chart; on an
     affine one chart(f) = 1 and the constants shift the values."""
+    slices = [as_witness_slice(slc) for slc in slices]
+    for slc in slices:
+        if slc.rows.shape != (var.slice_rows_needed, var.image_dim):
+            raise WitnessError(
+                f"slice must be {var.slice_rows_needed}x{var.image_dim} for {var.name}, "
+                f"got {slc.rows.shape}"
+            )
     if var.chart is None:
         shifts = np.concatenate([slc.constants for slc in slices])[:, None]
         return np.concatenate([slc.rows for slc in slices]), shifts
@@ -149,12 +157,6 @@ def _sliced(var: ParametrizedVariety, mats, shifts, params, derivative: bool = F
 
 def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
     """The square system {slice conditions on the image} + {fixed equations}."""
-    slc = as_witness_slice(slc)
-    if slc.rows.shape != (var.slice_rows_needed, var.image_dim):
-        raise WitnessError(
-            f"slice must be {var.slice_rows_needed}x{var.image_dim} for {var.name}, "
-            f"got {slc.rows.shape}"
-        )
     mats, shifts = _slice_matrix(var, (slc,))
 
     def at(points, derivative=False):
@@ -173,16 +175,16 @@ def sliced_square_system(var: ParametrizedVariety, slc) -> tracker.SquareSystem:
 class SliceHomotopy(tracker.TwoSystemHomotopy):
     """The homotopy from the source-sliced system to the target-sliced one.
 
-    Both slices' matrices are stacked once, here, into one [source; target]
-    matrix; each evaluation then takes one image (or image Jacobian) and
-    one product with it, and ``systems`` returns the two new arrays that
-    product fills."""
+    Both slices are checked and stacked once, here, into one [source;
+    target] matrix, and no ``SquareSystem`` is built; each evaluation then
+    takes one image (or image Jacobian) and one product with it, and
+    ``systems`` returns the two new arrays that product fills."""
 
     def __init__(self, var: ParametrizedVariety, source, target, gamma: complex = 1.0):
-        super().__init__(sliced_square_system(var, source), sliced_square_system(var, target), gamma)
         self.var = var
-        pair = as_witness_slice(source), as_witness_slice(target)
-        self.mats, self.shifts = _slice_matrix(var, pair)
+        self.gamma = complex(gamma)
+        self.dimension = var.param_dim
+        self.mats, self.shifts = _slice_matrix(var, (source, target))
 
     def systems(self, z, derivative=False):
         return tuple(_sliced(self.var, self.mats, self.shifts, z, derivative))
@@ -457,6 +459,13 @@ def _phased(cfg: tracker.TrackerConfig, rng: np.random.Generator | None) -> trac
     return cfg if rng is None else replace(cfg, gamma=np.exp(2j * np.pi * rng.random()))
 
 
+def _leg(var, source, target, points, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
+    """``move_points`` under ``_phased(cfg, rng)``: the (k, n) endpoints and
+    their k statuses (an object array)."""
+    ends = move_points(var, source, target, points, _phased(cfg, rng))
+    return np.array([e.point for e in ends]), np.array([e.status for e in ends], dtype=object)
+
+
 def move_to_slice(
     pws: PseudoWitnessSet,
     target,
@@ -542,7 +551,9 @@ def run_trace_test(
 
     Repairs, in order, for a path that did not end in ``SUCCESS``:
 
-    1. With ``rng``, it is re-tracked alone under fresh phases (two rounds).
+    1. With ``rng``, the leg's failed paths are re-tracked, without the
+       others, under a fresh phase: up to two rounds, each on the paths the
+       round before left failed (three tracks of the leg in all).
     2. Whatever is still failed (every failure, without ``rng``) is
        polished by ``tracker.newton_refine`` on the translated slice's
        system.  The polished point replaces the endpoint only when Newton
@@ -570,70 +581,51 @@ def run_trace_test(
     slc = as_witness_slice(slc)
     cfg = cfg or tracker.TrackerConfig()
     pts = np.atleast_2d(np.asarray(points, dtype=complex))
-    centroids = {}
-    retried = 0
-    rescues = 0
-    reruns = 0
+    tracks = 3 if rng is not None else 1
+    centroids = {0.0: _chart_coordinates(var, var.image(pts)).mean(axis=0)}
+    retried = rescues = reruns = 0
     for s in (1.0, -1.0):
         shifted = _shifted_slice(slc, s, direction_form)
-        coords = None
-        problem = ""
-        for _ in range(3 if rng is not None else 1):
-            ends = move_points(var, slc, shifted, pts, _phased(cfg, rng))
-            cand = np.array([e.point for e in ends])
-            status = [e.status for e in ends]
-            failed = [i for i, st in enumerate(status) if st != tracker.SUCCESS]
-            rounds = 2 if rng is not None else 0
-            while failed and rounds > 0:
-                rounds -= 1
-                redo = move_points(var, slc, shifted, pts[failed], _phased(cfg, rng))
-                still = []
-                for i, e in zip(failed, redo):
-                    cand[i] = e.point
-                    status[i] = e.status
-                    if e.status == tracker.SUCCESS:
-                        retried += 1
-                    else:
-                        still.append(i)
+        for _ in range(tracks):
+            cand = np.empty_like(pts)
+            status = np.empty(len(pts), dtype=object)
+            failed = np.arange(len(pts))
+            for round_ in range(tracks):
+                cand[failed], status[failed] = _leg(var, slc, shifted, pts[failed], cfg, rng)
+                still = failed[status[failed] != tracker.SUCCESS]
+                retried += (failed.size - still.size) if round_ else 0
                 failed = still
-            rescued, collided = _rescue(var, shifted, cand, failed) if failed else ([], [])
-            failed = [i for i in failed if i not in rescued]
-            if failed:
-                hist: dict[str, int] = {}
-                for i in failed:
-                    hist[status[i]] = hist.get(status[i], 0) + 1
-                summary = " ".join(f"{k}={v}" for k, v in sorted(hist.items()))
-                problem = f"{len(failed)} path(s) failed at s={s:+.0f} ({summary})"
+                if not failed.size:
+                    break
+            rescued, collided = _rescue(var, shifted, cand, failed)
+            failed = failed[~np.isin(failed, rescued)]
+            if failed.size:
+                hist = " ".join(f"{k}={v}" for k, v in sorted(Counter(status[failed]).items()))
+                problem = f"{failed.size} path(s) failed at s={s:+.0f} ({hist})"
                 if collided:
                     problem += f"; polishing {len(collided)} collides with another endpoint"
-                reruns += 1
-                continue
-            dup = np.where(nearest(cand)[0] <= DEDUP_TOL)[0].tolist()
-            if dup:
+            else:
+                dup = np.flatnonzero(nearest(cand)[0] <= DEDUP_TOL).tolist()
+                if not dup:
+                    rescues += len(rescued)
+                    break
                 problem = (
-                    f"{len(dup)} path(s) share endpoints at s={s:+.0f} "
-                    f"(e.g. indices {dup[:4]})"
+                    f"{len(dup)} path(s) share endpoints at s={s:+.0f} (e.g. indices {dup[:4]})"
                 )
-                reruns += 1
-                continue
-            coords = cand
-            rescues += len(rescued)
-            break
-        if coords is None:
+            reruns += 1
+        else:
             return TraceResult(False, float("nan"), True, problem)
-        centroids[s] = _chart_coordinates(var, var.image(coords)).mean(axis=0)
-    centroids[0.0] = _chart_coordinates(var, var.image(pts)).mean(axis=0)
+        centroids[s] = _chart_coordinates(var, var.image(cand)).mean(axis=0)
     second = centroids[1.0] - 2.0 * centroids[0.0] + centroids[-1.0]
-    scale = max(np.linalg.norm(centroids[s]) for s in (1.0, 0.0, -1.0))
+    scale = max(np.linalg.norm(c) for c in centroids.values())
     deviation = float(np.linalg.norm(second) / max(scale, 1e-300))
-    notes = []
-    if retried:
-        notes.append(f"re-tracked {retried} path(s)")
-    if rescues:
-        notes.append(f"rescued {rescues} path(s)")
-    if reruns:
-        notes.append(f"re-ran {reruns} leg(s)")
-    return TraceResult(deviation <= tol, deviation, False, ", ".join(notes))
+    notes = (
+        (retried, "re-tracked {} path(s)"),
+        (rescues, "rescued {} path(s)"),
+        (reruns, "re-ran {} leg(s)"),
+    )
+    detail = ", ".join(note.format(count) for count, note in notes if count)
+    return TraceResult(deviation <= tol, deviation, False, detail)
 
 
 def trace_test(
@@ -678,8 +670,8 @@ def monodromy_populate(
         waypoints = [slc, random_slice(var, rng), random_slice(var, rng), slc]
         cur = pts
         for a, b in zip(waypoints, waypoints[1:]):
-            ends = move_points(var, a, b, cur, _phased(cfg, rng))
-            cur = np.array([e.point for e in ends if e.status == tracker.SUCCESS])
+            ends, status = _leg(var, a, b, cur, cfg, rng)
+            cur = ends[status == tracker.SUCCESS]
             if cur.size == 0:
                 break
         before = pts.shape[0]

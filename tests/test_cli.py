@@ -509,6 +509,23 @@ def test_stored_instance_count_not_divisible_by_eight_is_an_error(tmp_path, monk
     assert not (tmp_path / "sol.json").exists()
 
 
+def test_degenerate_stored_instance_is_one_error(tmp_path, capsys):
+    doc = json.loads(data_path("reference_instance.json").read_text())
+    doc["correspondences"][2] = doc["correspondences"][1]
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc))
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    rc = cli.main(["solve", "--witness", str(witness_file), "--instance", str(inst),
+                   "--out", str(tmp_path / "sol.json"), "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stored instance of (1, 4, 0, 0, 0) is degenerate: "
+        "assembled slice has codimension 10, expected 12"
+    ]
+    assert not (tmp_path / "sol.json").exists()
+
+
 def test_verify_stacks_the_instance_once(tmp_path, monkeypatch, capsys):
     sol = tmp_path / "sol.json"
     make_solution_file(sol)
@@ -534,3 +551,40 @@ def test_unusable_solution_file_is_one_named_error(tmp_path, capsys, doc):
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {sol}:")
+
+
+# ---------------------------------------------------------------------------
+# an unwritable --out is one error line
+# ---------------------------------------------------------------------------
+
+def _no_work(*args, **kwargs):
+    pytest.fail("work began before --out was checked")
+
+
+@pytest.mark.parametrize("cmd", ["witness", "solve", "table"])
+def test_out_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.setattr(witness, "build_witness", _no_work)
+    monkeypatch.setattr(pipeline, "solve_problem", _no_work)
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    extra = {
+        "witness": ["--budget", "1"],
+        "solve": ["--witness", str(witness_file), "--problem", "1,4,0,0,0"],
+        "table": ["--witness", str(witness_file), "--rows", "1"],
+    }[cmd]
+    out = tmp_path / "missing" / "out.json"
+    rc = cli.main([cmd, *extra, "--out", str(out), "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {out}: {out.parent} is not a directory"
+    ]
+
+
+def test_write_failure_is_one_named_error(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    rc = cli.main(["table", "--witness", str(witness_file), "--rows", "0",
+                   "--out", str(tmp_path), "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]

@@ -379,6 +379,62 @@ def test_solve_problem_solves_a_stored_instance_on_every_attempt(monkeypatch):
     assert (run.attempts, run.seed, run.instance) == (2, 5, stored)
 
 
+def _degenerate_reference_instance():
+    """The reference instance with its third correspondence repeating the
+    second: codimension 10 where (1, 4, 0, 0, 0) needs 12."""
+    w, _, stored = slices.load_instance(
+        resources.files("trifocal.data").joinpath("reference_instance.json")
+    )
+    return w, stored[:2] + [stored[1]] + stored[3:]
+
+
+def _counting(monkeypatch, module, name, effect=None):
+    """Replace ``module.name`` by a wrapper that records each call's first
+    argument and then calls ``effect`` (the original when None)."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda first, *rest: calls.append(first) or (effect or original)(first, *rest)
+    )
+    return calls
+
+
+def test_degenerate_stored_instance_is_assembled_once(monkeypatch):
+    w, instance = _degenerate_reference_instance()
+    assembled = _counting(monkeypatch, slices, "assemble_special_slice")
+    stand_in = types.SimpleNamespace(certified=True)
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.solve_problem(stand_in, w, seed=5, instance=instance)
+    assert len(assembled) == 1
+    assert str(err.value) == (
+        "stored instance of (1, 4, 0, 0, 0) is degenerate: "
+        "assembled slice has codimension 10, expected 12"
+    )
+
+
+def _lost_rank(special, rng):
+    raise slices.DegenerateInstanceError("randomized slice lost rank")
+
+
+@pytest.mark.parametrize("case", ["stored, slice lost rank", "random, degenerate"])
+def test_solve_problem_retries_what_another_seed_may_cure(monkeypatch, case):
+    w, degenerate = _degenerate_reference_instance()
+    stored = None
+    if case.startswith("stored"):
+        stored = slices.random_instance(w, seed=3)
+        failing = _counting(monkeypatch, slices, "randomize_slice", _lost_rank)
+        message = "randomized slice lost rank"
+    else:
+        monkeypatch.setattr(slices, "random_instance", lambda w, seed: degenerate)
+        failing = _counting(monkeypatch, slices, "assemble_special_slice")
+        message = "assembled slice has codimension 10, expected 12"
+    stand_in = types.SimpleNamespace(certified=True)
+    with pytest.raises(pipeline.PipelineError) as err:
+        pipeline.solve_problem(stand_in, w, seed=5, max_attempts=2, instance=stored)
+    assert len(failing) == 2
+    assert str(err.value) == f"no reliable run for (1, 4, 0, 0, 0) in 2 attempts: {message}"
+
+
 def test_solve_instance_stacks_the_instance_once(monkeypatch):
     """Every endpoint's stages 3-5 read one CorrespondenceStack."""
     cfg = real_config("stack-once")

@@ -368,6 +368,53 @@ def test_trace_retries_failed_paths_with_fresh_phase(cubic_witness, monkeypatch)
     assert "rescued" not in res.detail
 
 
+def test_trace_retracks_only_the_failed_paths(cubic_witness, monkeypatch):
+    # the wrecked path of each leg is re-tracked alone, once, under a new phase
+    var, slc, pts = cubic_witness
+    real_move = witness.move_points
+    batches = []
+
+    def sabotage(var_, src, dst, batch, *args, **kwargs):
+        ends = real_move(var_, src, dst, batch, *args, **kwargs)
+        batches.append(len(ends))
+        if len(ends) == pts.shape[0]:
+            e = ends[1]
+            wrecked = np.full_like(e.point, 37.0)
+            ends[1] = tracker.TrackedEndpoint(wrecked, "diverged", 1.0, np.nan, e.steps)
+        return ends
+
+    monkeypatch.setattr(witness, "move_points", sabotage)
+    res = witness.run_trace_test(var, slc, pts, rng=np.random.default_rng(3))
+    assert res.passed
+    assert batches == [3, 1, 3, 1]
+
+
+@pytest.mark.parametrize("with_rng", [True, False])
+def test_trace_reruns_a_leg_whose_endpoints_coincide(cubic_witness, monkeypatch, with_rng):
+    # the first track of the first leg lands two paths on one endpoint, both
+    # SUCCESS: the duplicate scan discards the leg, and with ``rng`` it is rerun
+    var, slc, pts = cubic_witness
+    real_move = witness.move_points
+    calls = []
+
+    def sabotage(*args, **kwargs):
+        ends = real_move(*args, **kwargs)
+        calls.append(len(ends))
+        if len(calls) == 1:
+            ends[1] = replace(ends[1], point=ends[0].point.copy())
+        return ends
+
+    monkeypatch.setattr(witness, "move_points", sabotage)
+    rng = np.random.default_rng(3) if with_rng else None
+    res = witness.run_trace_test(var, slc, pts, rng=rng)
+    if with_rng:
+        assert res.passed and not res.inconclusive
+        assert res.detail == "re-ran 1 leg(s)"
+    else:
+        assert not res.passed and res.inconclusive
+        assert res.detail == "2 path(s) share endpoints at s=+1 (e.g. indices [0, 1])"
+
+
 def test_trace_rescue_rejects_endpoint_collision(cubic_witness, monkeypatch):
     # a path that "arrives" on a neighbour's endpoint jumped, it did not
     # stray: the separation guard must refuse to rescue it
