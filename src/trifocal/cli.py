@@ -429,8 +429,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
-        if cfg.out_path and not Path(cfg.out_path).parent.is_dir():  # refused before any work
-            raise CliError(f"{cfg.out_path}: {Path(cfg.out_path).parent} is not a directory")
+        if cfg.out_path:  # refused before any work
+            out = Path(cfg.out_path)
+            if out.is_dir():
+                raise CliError(f"{cfg.out_path}: Is a directory")
+            if not out.parent.is_dir():
+                raise CliError(f"{cfg.out_path}: {out.parent} is not a directory")
         return _COMMANDS[cfg.command](cfg)
     except (CliError, witness.WitnessError) as err:
         print(f"error: {err}", file=sys.stderr)

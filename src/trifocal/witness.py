@@ -651,8 +651,22 @@ def monodromy_populate(
     trace_tol: float = TRACE_TOL,
     log: Callable[[str], None] | None = None,
 ) -> tuple[np.ndarray, bool, int]:
-    """Grow the witness point set by random slice loops until the trace
+    """Grow the witness point set by random two-leg loops until the trace
     test certifies completeness or the loop budget runs out.
+
+    Each loop draws one random slice ``mid`` and one phase ``γ``, tracks
+    every known point ``slc → mid`` with ``γ`` and the survivors back
+    ``mid → slc`` with ``−conj(γ)``.  A leg ``a → b`` with ``γ`` follows
+    the pencil ``a + λ·b`` along the ray λ ∈ conj(γ)·ℝ₊, and the return
+    ``b → a`` with ``γ'`` follows λ ∈ γ'·ℝ₊: ``γ' = conj(γ)`` would retrace
+    the same ray (a trivial loop), while ``−conj(γ)`` takes the opposite
+    ray, so the loop goes round the branch points in one half of the
+    pencil.  The return phase must not be drawn on its own: small sectors
+    between the two rays then stall growth.
+
+    ``log`` gets one ``loop=… points=… new=… legs=…`` line per loop, where
+    ``legs`` counts the points the loops have handed to ``move_points`` so
+    far (a trace test adds two legs per point, more with re-tracks).
 
     Returns (points, certified, loops_used).
     """
@@ -663,14 +677,17 @@ def monodromy_populate(
         raise WitnessError("seed point does not solve the sliced system")
 
     certified = False
-    loops = 0
+    loops = legs = 0
     stable_since_trace = True
     for loop in range(1, budget + 1):
         loops = loop
-        waypoints = [slc, random_slice(var, rng), random_slice(var, rng), slc]
+        mid = random_slice(var, rng)
+        out = _phased(cfg, rng)
+        back = replace(cfg, gamma=-np.conj(out.gamma))
         cur = pts
-        for a, b in zip(waypoints, waypoints[1:]):
-            ends, status = _leg(var, a, b, cur, cfg, rng)
+        for a, b, phase in ((slc, mid, out), (mid, slc, back)):
+            legs += cur.shape[0]
+            ends, status = _leg(var, a, b, cur, phase, None)
             cur = ends[status == tracker.SUCCESS]
             if cur.size == 0:
                 break
@@ -679,7 +696,7 @@ def monodromy_populate(
             pts = merge_points(pts, cur)
         grew = pts.shape[0] > before
         if log:
-            log(f"loop={loop} points={pts.shape[0]} new={pts.shape[0] - before}")
+            log(f"loop={loop} points={pts.shape[0]} new={pts.shape[0] - before} legs={legs}")
         if grew:
             stable_since_trace = True
             continue

@@ -588,3 +588,12 @@ def test_write_failure_is_one_named_error(tmp_path, capsys):
                    "--out", str(tmp_path), "--log", "quiet"])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
+
+
+def test_witness_out_naming_a_directory_builds_nothing(tmp_path, capsys, monkeypatch):
+    builds = []
+    monkeypatch.setattr(witness, "build_witness", lambda *a, **k: builds.append(a))
+    rc = cli.main(["witness", "--budget", "1", "--out", str(tmp_path), "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
+    assert builds == []

@@ -275,6 +275,88 @@ def test_monodromy_loop_returns_to_same_point_set(circle_witness):
     assert_same_set(cur, pts)
 
 
+def _two_leg_permutations(var, slc, pts, back_phase, pencils=20, seed=0):
+    """For each of ``pencils`` random (mid, γ): the permutation of ``pts``
+    after tracking ``slc → mid`` with γ and back with ``back_phase(γ)``."""
+    rng = np.random.default_rng(seed)
+    cfg = tracker.TrackerConfig()
+    perms = []
+    for _ in range(pencils):
+        mid = witness.random_slice(var, rng)
+        gamma = np.exp(2j * np.pi * rng.random())
+        cur = pts
+        for src, dst, g in ((slc, mid, gamma), (mid, slc, back_phase(gamma))):
+            ends = witness.move_points(var, src, dst, cur, replace(cfg, gamma=g))
+            assert all(e.status == tracker.SUCCESS for e in ends)
+            cur = np.array([e.point for e in ends])
+        dist, idx = witness.nearest(cur, pts)
+        assert dist.max() <= 1e-8
+        perms.append(tuple(idx))
+    return perms
+
+
+def test_same_ray_return_is_a_trivial_loop(cubic_witness):
+    # back with conj(γ) retraces the outward ray of the pencil slc + λ·mid
+    var, slc, pts = cubic_witness
+    perms = _two_leg_permutations(var, slc, pts, np.conj)
+    assert sum(p == tuple(range(len(pts))) for p in perms) >= 18
+
+
+def test_opposite_ray_return_permutes_the_points(cubic_witness):
+    # back with −conj(γ) takes the opposite ray: the loop encloses branch points
+    var, slc, pts = cubic_witness
+    perms = _two_leg_permutations(var, slc, pts, lambda g: -np.conj(g))
+    assert sum(p != tuple(range(len(pts))) for p in perms) > len(perms) // 2
+
+
+def _spied_cubic_loops(monkeypatch, budget=2):
+    """``budget`` monodromy loops on the cubic from one seed point, with
+    ``move_points`` spied on and the trace test stubbed out, so only the
+    loops' legs are seen.  Returns the slice, the loops used, the
+    (source, target, gamma, rows) of every move and the log lines."""
+    calls, lines, real_move = [], [], witness.move_points
+
+    def spy(var_, src, dst, batch, cfg=None, *args, **kwargs):
+        calls.append((src, dst, cfg.gamma, len(batch)))
+        return real_move(var_, src, dst, batch, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(witness, "move_points", spy)
+    monkeypatch.setattr(
+        witness, "run_trace_test", lambda *a, **k: witness.TraceResult(False, np.nan, True, "")
+    )
+    var = cubic_variety()
+    rng = np.random.default_rng(7)
+    t0 = np.array([0.3 + 0.2j])
+    slc = witness.slice_through_point(var, rng, t0)
+    _, _, loops = witness.monodromy_populate(
+        var, slc, t0[None, :], rng, budget=budget, log=lines.append
+    )
+    return slc, loops, calls, lines
+
+
+def _same_slice(a, b):
+    a, b = witness.as_witness_slice(a), witness.as_witness_slice(b)
+    return np.array_equal(a.rows, b.rows) and np.array_equal(a.constants, b.constants)
+
+
+def test_monodromy_loop_is_two_legs_on_opposite_rays(monkeypatch):
+    slc, loops, calls, _ = _spied_cubic_loops(monkeypatch)
+    assert loops == 2 and len(calls) == 2 * loops
+    for (src1, mid, gamma, _), (src2, dst2, back, _) in zip(calls[::2], calls[1::2]):
+        assert _same_slice(src1, slc) and _same_slice(dst2, slc)
+        assert src2 is mid and not _same_slice(mid, slc)
+        assert abs(gamma) == pytest.approx(1.0)
+        assert back == -np.conj(gamma)
+
+
+def test_monodromy_log_counts_legs(monkeypatch):
+    _, _, calls, lines = _spied_cubic_loops(monkeypatch)
+    legs = [int(line.rsplit("legs=", 1)[1]) for line in lines if line.startswith("loop=")]
+    rows = [n for *_, n in calls]
+    assert legs == [sum(rows[:2]), sum(rows[:4])]
+    assert legs[0] == 2  # one seed point, out and back
+
+
 def test_membership_residuals_flag_off_variety_points(cubic_witness):
     var, slc, pts = cubic_witness
     res = witness.membership_residuals(var, slc, pts)
