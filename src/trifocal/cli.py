@@ -153,9 +153,23 @@ def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:
         jsonio.dump_json(path, doc)
 
 
+def _output_path(cfg: RunConfig, default: str | None) -> str | None:
+    """The run's output file, ``--out`` or else ``default`` (None: no file),
+    refused before any work when it names a directory or lies in a missing
+    one."""
+    path = cfg.out_path or default
+    if path is not None:
+        out = Path(path)
+        if out.is_dir():
+            raise CliError(f"{path}: Is a directory")
+        if not out.parent.is_dir():
+            raise CliError(f"{path}: {out.parent} is not a directory")
+    return path
+
+
 def cmd_witness(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    out = Path(cfg.out_path or f"witness_{cfg.locus}.json")
+    out = Path(_output_path(cfg, f"witness_{cfg.locus}.json"))
     if out.exists() and not cfg.force:
         degree = _reusable_witness(out, cfg, log)
         if degree is not None:
@@ -202,7 +216,6 @@ def cmd_trace_test(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig) -> int:
     log = _logger(cfg)
-    pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     instance = None
     if cfg.instance_path:
         w, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
@@ -214,6 +227,8 @@ def cmd_solve(cfg: RunConfig) -> int:
         w = slices.ProblemWeights(*cfg.problem)
     else:
         raise CliError("either --problem or --instance is required")
+    out = _output_path(cfg, "solution_" + "".join(map(str, w.as_tuple())) + f"_seed{cfg.seed}.json")
+    pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     try:
         run = pipeline.solve_problem(
             pws, w, cfg.seed, cfg.tracker_config(), max_attempts=cfg.max_attempts, instance=instance
@@ -223,9 +238,6 @@ def cmd_solve(cfg: RunConfig) -> int:
     print(f"degree={run.degree}")
     print(run.report.summary())
     print(pipeline.table_row(run))
-    out = cfg.out_path or (
-        "solution_" + "".join(map(str, run.weights.as_tuple())) + f"_seed{cfg.seed}.json"
-    )
     doc = pipeline.solution_document(run, instance_meta={"run_config": cfg.to_dict()})
     with _os_errors(out):
         jsonio.dump_json(out, doc)
@@ -235,6 +247,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_table(cfg: RunConfig) -> int:
     log = _logger(cfg)
+    out = _output_path(cfg, None)
     pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     problems = slices.enumerate_problems()
     if cfg.rows is not None:
@@ -259,11 +272,11 @@ def cmd_table(cfg: RunConfig) -> int:
         all_ok = all_ok and ok
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if cfg.out_path:
+    if out:
         header = "# run_config: " + json.dumps(cfg.to_dict(), sort_keys=True) + "\n"
-        with _os_errors(cfg.out_path):
-            Path(cfg.out_path).write_text(header + text)
-        log(f"table saved to {cfg.out_path}")
+        with _os_errors(out):
+            Path(out).write_text(header + text)
+        log(f"table saved to {out}")
     return 0 if all_ok else 1
 
 
@@ -429,12 +442,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
     try:
-        if cfg.out_path:  # refused before any work
-            out = Path(cfg.out_path)
-            if out.is_dir():
-                raise CliError(f"{cfg.out_path}: Is a directory")
-            if not out.parent.is_dir():
-                raise CliError(f"{cfg.out_path}: {out.parent} is not a directory")
         return _COMMANDS[cfg.command](cfg)
     except (CliError, witness.WitnessError) as err:
         print(f"error: {err}", file=sys.stderr)

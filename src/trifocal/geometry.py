@@ -17,6 +17,13 @@ the distances of every point and line to the epipoles of its image as one
 array.  ``multiview_passed`` and ``epipoles_clear`` test a whole instance;
 ``multiview_residual``, ``epipole_clearance`` and ``consistency_check`` are
 the same code on one correspondence.
+
+Synthetic data comes from ``project_pair``: the three images of a world
+(point, line) pair from one stacked product, the point's image where the
+kind has a P and the line through the images of its two points where it
+has an L.  ``forward_correspondence`` normalizes them, and the sampler
+``slices.synthetic_consistent_instance`` screens them for a vanishing image
+first.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import numlin
+from . import numlin, seeds
 
 if TYPE_CHECKING:  # pragma: no cover
     from .slices import Correspondence
@@ -54,10 +61,6 @@ def _as_cameras(cams) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DegenerateCameraError("camera contains NaN/Inf")
     return a
-
-
-def _as_camera(cam) -> np.ndarray:
-    return _as_cameras([cam])[0]
 
 
 def camera_centers(cams) -> np.ndarray:
@@ -164,30 +167,18 @@ def quaternion_from_rotation(r) -> np.ndarray:
         raise ValueError("rotation is numerically isotropic; quaternion scale undefined")
     sigma = np.linalg.det(m) / s2  # sigma^3 / sigma^2
     tr = np.trace(m)
-    squares = np.array(
-        [
-            (sigma + tr) / 4.0,
-            (sigma + 2 * m[0, 0] - tr) / 4.0,
-            (sigma + 2 * m[1, 1] - tr) / 4.0,
-            (sigma + 2 * m[2, 2] - tr) / 4.0,
-        ]
-    )
-    ab = (m[2, 1] - m[1, 2]) / 4.0
-    ac = (m[0, 2] - m[2, 0]) / 4.0
-    ad = (m[1, 0] - m[0, 1]) / 4.0
-    bc = (m[1, 0] + m[0, 1]) / 4.0
-    bd = (m[0, 2] + m[2, 0]) / 4.0
-    cd = (m[2, 1] + m[1, 2]) / 4.0
+    # the symmetric table of the products q_m q_n: the squares on its
+    # diagonal, the skew part of m in row 0 and the symmetric part in rows
+    # 1-3; q is the row of the largest square over that square's root
+    products = np.empty((4, 4), dtype=complex)
+    products[1:, 1:] = (m + m.T) / 4.0
+    products[0, 1:] = products[1:, 0] = ((m - m.T) / 4.0)[[2, 0, 1], [1, 2, 0]]
+    squares = np.concatenate([[sigma + tr], sigma + 2 * np.diag(m) - tr]) / 4.0
+    np.fill_diagonal(products, squares)
     pivot = int(np.argmax(np.abs(squares)))
     p = np.sqrt(squares[pivot])
-    if pivot == 0:
-        q = np.array([p, ab / p, ac / p, ad / p])
-    elif pivot == 1:
-        q = np.array([ab / p, p, bc / p, bd / p])
-    elif pivot == 2:
-        q = np.array([ac / p, bc / p, p, cd / p])
-    else:
-        q = np.array([ad / p, bd / p, cd / p, p])
+    q = products[pivot] / p
+    q[pivot] = p
     return q
 
 
@@ -287,20 +278,18 @@ class CalibratedConfiguration:
 
 
 def random_configuration(rng: np.random.Generator, real: bool = False) -> CalibratedConfiguration:
-    """Generic configuration with Gaussian quaternions and translations."""
+    """Generic configuration with Gaussian quaternions and translations; a
+    real one has unit quaternions."""
+    def draw(n):
+        return rng.normal(size=n) if real else seeds.complex_normal(rng, n)
+
+    q2, q3 = draw(4), draw(4)
     if real:
-        q2 = rng.normal(size=4)
-        q3 = rng.normal(size=4)
-        q2 = q2 / np.linalg.norm(q2)
-        q3 = q3 / np.linalg.norm(q3)
-        t2 = np.array([rng.normal(), rng.normal(), 1.0])
-        t3 = rng.normal(size=3)
-    else:
-        q2 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        q3 = rng.normal(size=4) + 1j * rng.normal(size=4)
-        t2 = np.array([rng.normal() + 1j * rng.normal(), rng.normal() + 1j * rng.normal(), 1.0])
-        t3 = rng.normal(size=3) + 1j * rng.normal(size=3)
-    return CalibratedConfiguration(q2=q2, q3=q3, t2=t2, t3=t3)
+        q2, q3 = q2 / np.linalg.norm(q2), q3 / np.linalg.norm(q3)
+    # two draws, not draw(2), which would pair a complex entry's normals
+    # differently and change every seed's bytes
+    t2 = np.concatenate([draw(1), draw(1), [1.0]])
+    return CalibratedConfiguration(q2=q2, q3=q3, t2=t2, t3=draw(3))
 
 
 # The tensor kernels work on parameters stored as columns, a (13, B) stack,
@@ -612,16 +601,18 @@ def consistency_check(a, b, c, data: "Correspondence") -> bool:
 # forward projection (synthetic data)
 # ---------------------------------------------------------------------------
 
-def project_point(cam, x) -> np.ndarray:
-    return _as_camera(cam) @ np.asarray(x, dtype=complex).reshape(4)
+def project_pair(kind: str, cams, x, y) -> np.ndarray:
+    """(3, 3): the unnormalized images of an incident world (point, line)
+    pair under a (3, 3, 4) camera stack, from one stacked product.
 
-
-def project_line(cam, p, q) -> np.ndarray:
-    """Image line through the projections of two world points."""
-    cam = _as_camera(cam)
-    u = cam @ np.asarray(p, dtype=complex).reshape(4)
-    v = cam @ np.asarray(q, dtype=complex).reshape(4)
-    return np.cross(u, v)
+    ``x`` is the world point and the world line joins ``x`` and ``y``.  Row
+    i is the image of ``x`` where ``kind[i]`` is P, and where it is L the
+    image line through the images of ``x`` and ``y``.
+    """
+    # stacked matrix-vector products [x or y, image, coordinate], which round
+    # as each camera @ point does (one matrix-matrix product would not)
+    u, v = (_as_cameras(cams) @ np.array([x, y], dtype=complex).reshape(2, 1, 4, 1))[..., 0]
+    return np.where(np.array([tag == "L" for tag in kind])[:, None], np.cross(u, v), u)
 
 
 def forward_correspondence(kind: str, a, b, c, x, y) -> list[np.ndarray]:
@@ -630,11 +621,4 @@ def forward_correspondence(kind: str, a, b, c, x, y) -> list[np.ndarray]:
     ``x`` is the world point; the world line joins ``x`` and ``y``. The
     returned unit-normalized vectors follow the kind's P/L pattern.
     """
-    cams = (a, b, c)
-    out = []
-    for cam, tag in zip(cams, kind):
-        if tag == "P":
-            out.append(numlin.normalize_projective(project_point(cam, x)))
-        else:
-            out.append(numlin.normalize_projective(project_line(cam, x, y)))
-    return out
+    return [numlin.normalize_projective(v) for v in project_pair(kind, (a, b, c), x, y)]

@@ -25,3 +25,10 @@ def child_rng(seed: int, *labels: object) -> np.random.Generator:
     )
     ss = np.random.SeedSequence(entropy=int(seed) & 0xFFFFFFFFFFFFFFFF, spawn_key=key)
     return np.random.default_rng(ss)
+
+
+def complex_normal(rng: np.random.Generator, size=None):
+    """Standard complex Gaussian draws of shape ``size``: every real part is
+    drawn before any imaginary part, the order that fixes each seed's
+    bytes."""
+    return rng.normal(size=size) + 1j * rng.normal(size=size)

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, jsonio, numlin
-from .seeds import child_rng
+from . import geometry, jsonio, numlin, seeds
 
 KINDS = ("PPP", "PPL", "PLP", "LLL", "PLL")
 RESAMPLE_BUDGET = 100
@@ -157,7 +156,7 @@ def randomize_slice(s: LinearSlice, rng: np.random.Generator) -> LinearSlice:
         raise DegenerateInstanceError(
             f"cannot randomize a slice of codimension {s.rank} < 11"
         )
-    mix = rng.normal(size=(11, s.rows.shape[0])) + 1j * rng.normal(size=(11, s.rows.shape[0]))
+    mix = seeds.complex_normal(rng, (11, s.rows.shape[0]))
     rows = mix @ s.rows
     rank = numlin.numerical_rank(rows)
     if rank != 11:
@@ -173,13 +172,13 @@ def random_instance(
     Default payloads are real uniform on [0, 1); the flag switches to
     complex Gaussian coordinates. Kinds appear in catalog order.
     """
-    rng = child_rng(seed, "instance", w.as_tuple(), complex_data)
+    rng = seeds.child_rng(seed, "instance", w.as_tuple(), complex_data)
     out = []
     for kind in w.kind_sequence():
         vecs = []
         for _ in range(3):
             if complex_data:
-                vecs.append(rng.normal(size=3) + 1j * rng.normal(size=3))
+                vecs.append(seeds.complex_normal(rng, 3))
             else:
                 vecs.append(rng.uniform(size=3))
         out.append(Correspondence(kind=kind, vectors=tuple(vecs)))
@@ -187,13 +186,12 @@ def random_instance(
 
 
 def _sample_world_pair(rng: np.random.Generator, real: bool):
-    if real:
-        x = rng.normal(size=4)
-        y = rng.normal(size=4)
-        return x / np.linalg.norm(x), y / np.linalg.norm(y)
-    x = rng.normal(size=4) + 1j * rng.normal(size=4)
-    y = rng.normal(size=4) + 1j * rng.normal(size=4)
-    return x / np.linalg.norm(x), y / np.linalg.norm(y)
+    """A unit world point ``x`` and a second unit point ``y`` on its line."""
+    def draw():
+        v = rng.normal(size=4) if real else seeds.complex_normal(rng, 4)
+        return v / np.linalg.norm(v)
+
+    return draw(), draw()
 
 
 def synthetic_consistent_instance(
@@ -205,28 +203,20 @@ def synthetic_consistent_instance(
     configuration's cameras. World draws that land too close to a camera
     center or an epipole are resampled, up to a fixed budget.
     """
-    a, b, c = cfg.cameras()
+    cams = cfg.cameras()
     real = bool(np.all(np.abs(np.imag(cfg.params)) < 1e-14))
-    rng = child_rng(seed, "synthetic", w.as_tuple())
+    rng = seeds.child_rng(seed, "synthetic", w.as_tuple())
     # degenerate cameras or coincident centers must fail loudly before sampling
-    consistent = geometry.consistency_checker(a, b, c)
+    consistent = geometry.consistency_checker(*cams)
 
     out = []
     for kind in w.kind_sequence():
         for attempt in range(RESAMPLE_BUDGET):
-            x, y = _sample_world_pair(rng, real)
-            raw_ok = True
-            for cam, tag in zip((a, b, c), kind):
-                proj = geometry.project_point(cam, x)
-                if np.linalg.norm(proj) < 1e-6:
-                    raw_ok = False
-                    break
-                if tag == "L" and np.linalg.norm(geometry.project_line(cam, x, y)) < 1e-6:
-                    raw_ok = False
-                    break
-            if not raw_ok:
+            images = geometry.project_pair(kind, cams, *_sample_world_pair(rng, real))
+            # a point at a camera center, or a line through it, has no image
+            if (np.linalg.norm(images, axis=1) < 1e-6).any():
                 continue
-            corr = Correspondence(kind=kind, vectors=tuple(geometry.forward_correspondence(kind, a, b, c, x, y)))
+            corr = Correspondence(kind=kind, vectors=tuple(images))
             if consistent(corr):
                 out.append(corr)
                 break

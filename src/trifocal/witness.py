@@ -192,12 +192,12 @@ class SliceHomotopy(tracker.TwoSystemHomotopy):
 
 def random_slice(var: ParametrizedVariety, rng: np.random.Generator) -> WitnessSlice:
     k = var.slice_rows_needed
-    rows = rng.normal(size=(k, var.image_dim)) + 1j * rng.normal(size=(k, var.image_dim))
+    rows = seeds.complex_normal(rng, (k, var.image_dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     if var.chart is not None:
         consts = np.zeros(k, dtype=complex)
     else:
-        consts = rng.normal(size=k) + 1j * rng.normal(size=k)
+        consts = seeds.complex_normal(rng, k)
     return WitnessSlice(rows, consts)
 
 
@@ -209,7 +209,7 @@ def slice_through_point(var: ParametrizedVariety, rng: np.random.Generator, para
     if var.chart is None:
         return WitnessSlice(slc.rows, slc.rows @ img)
     for _ in range(32):
-        ref = rng.normal(size=var.image_dim) + 1j * rng.normal(size=var.image_dim)
+        ref = seeds.complex_normal(rng, var.image_dim)
         ref /= np.linalg.norm(ref)
         pivot = ref @ img
         if abs(pivot) > 1e-3 * np.linalg.norm(img):
@@ -299,15 +299,15 @@ def normalize_to_patches(params, alpha, beta) -> np.ndarray:
 
 
 def _random_isotropic_quaternion(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
+    v = seeds.complex_normal(rng, 3)
     return np.append(v, 1j * np.sqrt(np.sum(v**2)))
 
 
 def random_start_params(locus: str, rng: np.random.Generator, alpha, beta) -> np.ndarray:
     iso2, iso3 = _parse_locus(locus)
-    q2 = _random_isotropic_quaternion(rng) if iso2 else rng.normal(size=4) + 1j * rng.normal(size=4)
-    q3 = _random_isotropic_quaternion(rng) if iso3 else rng.normal(size=4) + 1j * rng.normal(size=4)
-    rest = rng.normal(size=5) + 1j * rng.normal(size=5)
+    q2 = _random_isotropic_quaternion(rng) if iso2 else seeds.complex_normal(rng, 4)
+    q3 = _random_isotropic_quaternion(rng) if iso3 else seeds.complex_normal(rng, 4)
+    rest = seeds.complex_normal(rng, 5)
     return normalize_to_patches(np.concatenate([q2, q3, rest]), alpha, beta)
 
 
@@ -738,7 +738,7 @@ def build_witness(
     rng_loops = seeds.child_rng(seed, "witness", locus, "loops")
 
     def unit_vec(rng, n):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = seeds.complex_normal(rng, n)
         return v / np.linalg.norm(v)
 
     alpha, beta = unit_vec(rng_patch, 4), unit_vec(rng_patch, 4)

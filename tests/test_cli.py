@@ -597,3 +597,28 @@ def test_witness_out_naming_a_directory_builds_nothing(tmp_path, capsys, monkeyp
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {tmp_path}: Is a directory"]
     assert builds == []
+
+
+def test_witness_default_file_naming_a_directory_builds_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "witness_cal.json").mkdir()
+    builds = []
+    monkeypatch.setattr(witness, "build_witness", lambda *a, **k: builds.append(a))
+    rc = cli.main(["witness", "--budget", "1", "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: witness_cal.json: Is a directory"]
+    assert builds == []
+
+
+def test_solve_default_file_naming_a_directory_solves_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    make_fake_witness(tmp_path / "w.json")
+    (tmp_path / "solution_14000_seed0.json").mkdir()
+    solves = []
+    monkeypatch.setattr(pipeline, "solve_problem", lambda *a, **k: solves.append(a))
+    rc = cli.main(["solve", "--witness", "w.json", "--problem", "1,4,0,0,0", "--log", "quiet"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: solution_14000_seed0.json: Is a directory"
+    ]
+    assert solves == []

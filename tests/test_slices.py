@@ -243,6 +243,32 @@ def test_synthetic_consistent_instance_finds_the_centers_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_synthetic_consistent_instance_redraws_a_pair_without_an_image(monkeypatch):
+    cfg = geometry.random_configuration(np.random.default_rng(68), real=True)
+    cams = cfg.cameras()
+    centers = geometry.camera_centers(cams)
+    rng = np.random.default_rng(69)
+    generic = [rng.normal(size=4) for _ in range(2)]
+    pairs = [
+        (centers[1], rng.normal(size=4)),  # a point at camera 2's center has no image there
+        (rng.normal(size=4), centers[2]),  # a world line through camera 3's center images to no line
+        tuple(generic),
+    ]
+    draws = []
+
+    def sample(rng, real):
+        draws.append(real)
+        # every later correspondence is generic and accepted on its first draw
+        return pairs[len(draws) - 1] if len(draws) <= 3 else tuple(generic)
+
+    monkeypatch.setattr(slices, "_sample_world_pair", sample)
+    inst = slices.synthetic_consistent_instance(cfg, slices.ProblemWeights(0, 5, 0, 0, 1), seed=70)
+    assert inst[0].kind == "PPL"
+    want = geometry.forward_correspondence("PPL", *cams, *generic)
+    assert all(np.array_equal(v, u) for v, u in zip(inst[0].vectors, want))
+    assert len(draws) == 3 + 5
+
+
 @pytest.mark.parametrize(
     "bad", [[np.nan, 0.0, 1.0], [1.0, np.inf, 0.0], [0.0, 0.0, 0.0]], ids=["nan", "inf", "zero"]
 )
