@@ -64,14 +64,10 @@ class RunConfig:
         return tracker.TrackerConfig(width=self.width)
 
 
-def _quiet(msg: str) -> None:
-    """The logger at ``--log quiet``."""
-
-
 def _logger(cfg: RunConfig):
     """The run's logger, a callable at every level."""
     if cfg.log == "quiet":
-        return _quiet
+        return witness.quiet
 
     def log(msg: str) -> None:
         print(f"[trifocal] {msg}", file=sys.stderr, flush=True)
@@ -118,7 +114,7 @@ def witness_content_hash(doc: dict) -> str:
 
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     """Return the cached degree when ``path`` already holds a valid build."""
-    log = log or _quiet
+    log = log or witness.quiet
     try:
         meta, certified, digest = _load_json(path, _cache_fields)
     except CliError:
@@ -141,7 +137,7 @@ def _cache_fields(doc: dict) -> tuple[dict, bool, str]:
     meta = doc["meta"]
     if type(meta["degree"]) is not int:
         raise ValueError(f"meta.degree is {meta['degree']!r}, not an integer")
-    return meta, bool(doc["certified"]), witness_content_hash(doc)
+    return meta, witness.certified_flag(doc), witness_content_hash(doc)
 
 
 def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:

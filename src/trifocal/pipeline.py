@@ -269,14 +269,12 @@ def solve_instance(
         _screen(e.point, norm_rows, stack) if e.finite else ("path-failed", None)
         for e in endpoints
     ]
-    verdicts = [v for v, _ in screened]
+    verdicts = np.array([v for v, _ in screened], dtype=object)
 
     # stage 6: distinct configurations, the first in index order wins
-    found = [i for i, v in enumerate(verdicts) if v == "solution"]
-    if found:
-        mask = _dedup_mask(np.array([endpoints[i].point for i in found]), SOLUTION_DEDUP_TOL)
-        for i in np.asarray(found)[~mask]:
-            verdicts[i] = "duplicate"
+    found = np.flatnonzero(verdicts == "solution")
+    found_points = np.reshape([endpoints[i].point for i in found], (found.size, 13))
+    verdicts[found[~_dedup_mask(found_points, SOLUTION_DEDUP_TOL)]] = "duplicate"
 
     records = [
         replace(

@@ -37,8 +37,9 @@ class Correspondence:
         if self.kind not in KINDS:
             raise ValueError(f"unknown correspondence kind {self.kind!r}")
         vecs = tuple(np.asarray(v, dtype=complex) for v in self.vectors)
-        if len(vecs) != 3:
-            raise ValueError("a correspondence holds exactly three vectors")
+        shapes = [v.shape for v in vecs]
+        if shapes != [(3,)] * 3:
+            raise ValueError(f"a correspondence holds three vectors of shape (3,), not {shapes}")
         if not all(np.isfinite(v).all() and v.any() for v in vecs):
             raise ValueError(f"{self.kind} correspondence has a non-finite or zero vector")
         object.__setattr__(self, "vectors", tuple(numlin.normalize_projective(v) for v in vecs))
@@ -173,16 +174,11 @@ def random_instance(
     complex Gaussian coordinates. Kinds appear in catalog order.
     """
     rng = seeds.child_rng(seed, "instance", w.as_tuple(), complex_data)
-    out = []
-    for kind in w.kind_sequence():
-        vecs = []
-        for _ in range(3):
-            if complex_data:
-                vecs.append(seeds.complex_normal(rng, 3))
-            else:
-                vecs.append(rng.uniform(size=3))
-        out.append(Correspondence(kind=kind, vectors=tuple(vecs)))
-    return out
+
+    def draw():
+        return seeds.complex_normal(rng, 3) if complex_data else rng.uniform(size=3)
+
+    return [Correspondence(kind=kind, vectors=(draw(), draw(), draw())) for kind in w.kind_sequence()]
 
 
 def _sample_world_pair(rng: np.random.Generator, real: bool):

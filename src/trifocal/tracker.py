@@ -331,14 +331,11 @@ def _track(
     zone_z, zone_t = z.copy(), t.copy()
 
     while True:
-        act = np.flatnonzero((status == _ACTIVE) & (t > 0.0))
+        live = (status == _ACTIVE) & (t > 0.0)
+        status[live & (steps >= _MAX_STEPS)] = STEP_LIMIT
+        act = np.flatnonzero(live & (steps < _MAX_STEPS))
         if act.size == 0:
             break
-        hit_limit = act[steps[act] >= _MAX_STEPS]
-        status[hit_limit] = STEP_LIMIT
-        act = act[steps[act] < _MAX_STEPS]
-        if act.size == 0:
-            continue
         steps[act] += 1
         hcur = np.minimum(h[act], t[act])
         h[act] = hcur  # halving a rejected clipped step must shrink the retry
@@ -492,9 +489,8 @@ def _cauchy_endgame(hom: TwoSystemHomotopy, z0, r0, floor, cfg: TrackerConfig):
         too_deep = inner < np.maximum(floor[rows], _ENDGAME_MIN_RADIUS)
         live[rows[too_deep]] = False
         rows, inner = rows[~too_deep], inner[~too_deep]
-        if rows.size:
-            advance(rows, inner.astype(complex), (r[rows] - inner).astype(complex))
-            r[rows] = inner
+        advance(rows, inner.astype(complex), (r[rows] - inner).astype(complex))
+        r[rows] = inner
     return estimate, winding, converged, steps
 
 

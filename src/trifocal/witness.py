@@ -34,6 +34,10 @@ class WitnessError(RuntimeError):
     """Witness-set precondition or certification failure."""
 
 
+def quiet(msg: str) -> None:
+    """The logger that drops every line (the build routines' default)."""
+
+
 # ---------------------------------------------------------------------------
 # slices with constants
 # ---------------------------------------------------------------------------
@@ -417,7 +421,7 @@ def merge_points(existing: np.ndarray, new: np.ndarray) -> np.ndarray:
     and from every earlier appended row (distance as in ``nearest``).
     Existing points keep their order and indices."""
     new = np.atleast_2d(np.asarray(new, dtype=complex))
-    if existing is not None and len(existing):
+    if existing is not None:
         kept = np.atleast_2d(np.asarray(existing, dtype=complex))
         new = new[nearest(new, kept)[0] > DEDUP_TOL]
     else:
@@ -461,9 +465,10 @@ def _phased(cfg: tracker.TrackerConfig, rng: np.random.Generator | None) -> trac
 
 def _leg(var, source, target, points, cfg, rng) -> tuple[np.ndarray, np.ndarray]:
     """``move_points`` under ``_phased(cfg, rng)``: the (k, n) endpoints and
-    their k statuses (an object array)."""
+    their k statuses (an object array), also for k = 0."""
     ends = move_points(var, source, target, points, _phased(cfg, rng))
-    return np.array([e.point for e in ends]), np.array([e.status for e in ends], dtype=object)
+    stack = np.reshape([e.point for e in ends], (len(ends), np.shape(points)[-1]))
+    return stack, np.array([e.status for e in ends], dtype=object)
 
 
 def move_to_slice(
@@ -649,7 +654,7 @@ def monodromy_populate(
     budget: int = 64,
     cfg: tracker.TrackerConfig | None = None,
     trace_tol: float = TRACE_TOL,
-    log: Callable[[str], None] | None = None,
+    log: Callable[[str], None] = quiet,
 ) -> tuple[np.ndarray, bool, int]:
     """Grow the witness point set by random two-leg loops until the trace
     test certifies completeness or the loop budget runs out.
@@ -662,7 +667,9 @@ def monodromy_populate(
     the same ray (a trivial loop), while ``−conj(γ)`` takes the opposite
     ray, so the loop goes round the branch points in one half of the
     pencil.  The return phase must not be drawn on its own: small sectors
-    between the two rays then stall growth.
+    between the two rays then stall growth.  When every path of the
+    outbound leg fails, the return leg tracks no points and the loop adds
+    none; it still counts against the budget.
 
     ``log`` gets one ``loop=… points=… new=… legs=…`` line per loop, where
     ``legs`` counts the points the loops have handed to ``move_points`` so
@@ -676,11 +683,9 @@ def monodromy_populate(
     if (membership_residuals(var, slc, pts) > MEMBERSHIP_TOL).any():
         raise WitnessError("seed point does not solve the sliced system")
 
-    certified = False
-    loops = legs = 0
+    legs = 0
     stable_since_trace = True
     for loop in range(1, budget + 1):
-        loops = loop
         mid = random_slice(var, rng)
         out = _phased(cfg, rng)
         back = replace(cfg, gamma=-np.conj(out.gamma))
@@ -689,34 +694,28 @@ def monodromy_populate(
             legs += cur.shape[0]
             ends, status = _leg(var, a, b, cur, phase, None)
             cur = ends[status == tracker.SUCCESS]
-            if cur.size == 0:
-                break
         before = pts.shape[0]
-        if cur.size:
-            pts = merge_points(pts, cur)
+        pts = merge_points(pts, cur)
         grew = pts.shape[0] > before
-        if log:
-            log(f"loop={loop} points={pts.shape[0]} new={pts.shape[0] - before} legs={legs}")
+        log(f"loop={loop} points={pts.shape[0]} new={pts.shape[0] - before} legs={legs}")
         if grew:
             stable_since_trace = True
             continue
         if stable_since_trace:
             result = run_trace_test(var, slc, pts, cfg, tol=trace_tol, rng=rng)
-            if log:
-                log(
-                    f"trace deviation={result.deviation:.3e} "
-                    f"passed={result.passed} inconclusive={result.inconclusive}"
-                    + (f" ({result.detail})" if result.detail else "")
-                )
+            log(
+                f"trace deviation={result.deviation:.3e} "
+                f"passed={result.passed} inconclusive={result.inconclusive}"
+                + (f" ({result.detail})" if result.detail else "")
+            )
             if result.passed:
-                certified = True
-                break
+                return pts, True, loop
             if not result.inconclusive:
                 # A finite bend means points are genuinely missing: hold off
                 # until a loop grows the set.  Path failures, by contrast,
                 # are retried on the next stagnant loop with fresh phases.
                 stable_since_trace = False
-    return pts, certified, loops
+    return pts, False, budget
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +728,7 @@ def build_witness(
     budget: int = 200,
     cfg: tracker.TrackerConfig | None = None,
     trace_tol: float = TRACE_TOL,
-    log: Callable[[str], None] | None = None,
+    log: Callable[[str], None] = quiet,
 ) -> PseudoWitnessSet:
     """Seed, populate, and certify a pseudo-witness set for one locus."""
     rng_patch = seeds.child_rng(seed, "witness", locus, "patches")
@@ -808,7 +807,17 @@ def witness_to_dict(pws: PseudoWitnessSet) -> dict:
     }
 
 
+def certified_flag(doc: dict) -> bool:
+    """A witness document's ``certified`` field; ValueError unless a JSON boolean."""
+    flag = doc["certified"]
+    if type(flag) is not bool:
+        raise ValueError(f"certified is {flag!r}, not a boolean")
+    return flag
+
+
 def witness_from_dict(doc: dict) -> PseudoWitnessSet:
+    """The witness set of a document; KeyError, TypeError or ValueError when
+    a field is missing or malformed (points not an (n, 13) array, say)."""
     meta = dict(doc["meta"])
     chart = jsonio.from_pairs(meta.pop("chart"))
     alpha = jsonio.from_pairs(doc["patches"]["alpha"])
@@ -817,12 +826,15 @@ def witness_from_dict(doc: dict) -> PseudoWitnessSet:
     slc = WitnessSlice(
         jsonio.from_pairs(doc["slice_rows"]), jsonio.from_pairs(doc["slice_constants"])
     )
+    points = jsonio.from_pairs(doc["points"])
+    if points.shape not in ((0,), (len(points), var.param_dim)):
+        raise ValueError(f"points have shape {points.shape}, not (n, {var.param_dim})")
     return PseudoWitnessSet(
         variety=var,
         patches={"alpha": alpha, "beta": beta},
         slc=slc,
-        points=jsonio.from_pairs(doc["points"]).reshape(-1, var.param_dim),
-        certified=bool(doc["certified"]),
+        points=points.reshape(-1, var.param_dim),
+        certified=certified_flag(doc),
         meta=meta,
     )
 

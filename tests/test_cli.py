@@ -622,3 +622,122 @@ def test_solve_default_file_naming_a_directory_solves_nothing(tmp_path, capsys, 
         "error: solution_14000_seed0.json: Is a directory"
     ]
     assert solves == []
+
+
+# ---------------------------------------------------------------------------
+# wrong-shaped arrays and flags in input files
+# ---------------------------------------------------------------------------
+
+def _counted_solves(monkeypatch):
+    solves = []
+    monkeypatch.setattr(pipeline, "solve_problem", lambda *a, **k: solves.append(a))
+    return solves
+
+
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+def test_instance_vectors_of_two_coordinates_are_malformed(tmp_path, capsys, monkeypatch, cmd):
+    doc = json.loads(data_path("reference_instance.json").read_text())
+    for corr in doc["correspondences"]:
+        corr["vectors"] = [v[:2] for v in corr["vectors"]]
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(doc))
+    solves = _counted_solves(monkeypatch)
+    if cmd == "solve":
+        witness_file = tmp_path / "w.json"
+        make_fake_witness(witness_file)
+        argv = ["solve", "--witness", str(witness_file), "--out", str(tmp_path / "sol.json")]
+    else:
+        argv = ["verify", "--solution", str(data_path("reference_solution.json"))]
+    rc = cli.main(argv + ["--instance", str(inst), "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {inst}: malformed (")
+    assert solves == []
+
+
+def _malformed_witness(path, fault):
+    """A fake witness file whose points have 12 coordinates, or whose
+    ``certified`` is the string "false"."""
+    doc = make_fake_witness(path, n_points=13)
+    if fault == "points":
+        doc["points"] = [p[:12] for p in doc["points"]]
+    else:
+        doc["certified"] = "false"
+    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+@pytest.mark.parametrize("cmd", ["solve", "trace-test"])
+@pytest.mark.parametrize("fault", ["points", "certified"])
+def test_malformed_witness_file_is_one_named_error(tmp_path, capsys, monkeypatch, cmd, fault):
+    wfile = tmp_path / "w.json"
+    _malformed_witness(wfile, fault)
+    solves = _counted_solves(monkeypatch)
+    traces = []
+    monkeypatch.setattr(witness, "trace_test", lambda *a, **k: traces.append(a))
+    extra = {"solve": ["--problem", "1,4,0,0,0", "--out", str(tmp_path / "sol.json")],
+             "trace-test": []}[cmd]
+    rc = cli.main([cmd, "--witness", str(wfile), *extra, "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {wfile}: malformed (")
+    assert solves == [] and traces == []
+
+
+def test_certified_string_is_not_reused(tmp_path):
+    out = tmp_path / "w.json"
+    _malformed_witness(out, "certified")
+    said = []
+    cfg = cli.RunConfig(command="witness")
+    assert cli._reusable_witness(out, cfg, said.append) is None
+    assert said == [f"{out} is unreadable; rebuilding"]
+
+
+# ---------------------------------------------------------------------------
+# the witness build and the table, end to end
+# ---------------------------------------------------------------------------
+
+def test_witness_command_writes_an_uncertified_build(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    rc = cli.main(["witness", "--seed", "1", "--budget", "2", "--out", str(out), "--log", "quiet"])
+    assert rc == 1
+    doc = json.loads(out.read_text())
+    meta = doc["meta"]
+    assert meta["content_hash"] == cli.witness_content_hash(doc)
+    assert meta["run_config"] == cli.RunConfig(
+        command="witness", seed=1, budget=2, out_path=str(out), log="quiet"
+    ).to_dict()
+    assert capsys.readouterr().out == f"{meta['degree']}\n"
+
+
+def _table_row(w, *cols):
+    return "\t".join(map(str, (*w.as_tuple(), *cols)))
+
+
+def test_table_lists_each_row_and_fails_on_an_error(tmp_path, capsys, monkeypatch):
+    first, second = slices.enumerate_problems()[:2]
+    expected = slices.expected_degrees()[first.as_tuple()]
+
+    def fake_solve(pws, w, seed, cfg=None, max_attempts=3):
+        if w != first:
+            raise pipeline.PipelineError("no reliable run")
+        report = pipeline.FilterReport(
+            total_paths=expected, stage_counts=(expected,) * 7, verdicts=()
+        )
+        return pipeline.ProblemRun(w, expected, [], report, [], seed, 1)
+
+    monkeypatch.setattr(pipeline, "solve_problem", fake_solve)
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    out = tmp_path / "table.tsv"
+    rc = cli.main(["table", "--witness", str(witness_file), "--rows", "2", "--out", str(out),
+                   "--log", "quiet"])
+    assert rc == 1
+    table = [
+        "w1\tw2\tw3\tw4\tw5\tdegree\texpected\tmatch",
+        _table_row(first, expected, expected, "yes"),
+        _table_row(second, "error", slices.expected_degrees()[second.as_tuple()], "no"),
+    ]
+    assert capsys.readouterr().out.splitlines() == table
+    text = out.read_text()
+    assert text.startswith("# run_config: ")
+    assert text.splitlines()[1:] == table

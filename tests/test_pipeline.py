@@ -550,3 +550,28 @@ def test_report_verdicts_account_for_every_path(planted_solve):
     assert all(v in pipeline.VERDICTS for v in report.verdicts)
     survivors = report.total_paths - report.verdicts.count("path-failed")
     assert report.stage_counts[0] == survivors
+
+
+def test_solve_instance_with_no_surviving_endpoint(monkeypatch):
+    """When no endpoint passes the filter, the solve has no records and its
+    ladder counts only the finite paths."""
+    cfg = real_config("none-survive")
+    instance = slices.synthetic_consistent_instance(
+        cfg, slices.ProblemWeights(1, 4, 0, 0, 0), seed=3
+    )
+    endpoints = [
+        tracker.TrackedEndpoint(
+            point=point, status=status, residual=1e-15, contraction=0.0, steps=1, winding=0,
+        )
+        for point, status in [
+            (np.full(13, np.nan + 0j), tracker.DIVERGED),
+            (real_config("stray").params, tracker.SUCCESS),
+            (real_config("astray").params, tracker.SUCCESS),
+        ]
+    ]
+    monkeypatch.setattr(witness, "move_to_slice", lambda pws, target, cfg=None: endpoints)
+    stand_in = types.SimpleNamespace(certified=True)
+    records, report = pipeline.solve_instance(stand_in, instance, failure_budget=1.0)
+    assert records == []
+    assert report.verdicts == ("path-failed", "outside-special", "outside-special")
+    assert report.stage_counts == (2, 0, 0, 0, 0, 0, 0)

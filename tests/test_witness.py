@@ -357,6 +357,32 @@ def test_monodromy_log_counts_legs(monkeypatch):
     assert legs[0] == 2  # one seed point, out and back
 
 
+def test_monodromy_loop_whose_outbound_leg_loses_every_path(cubic_witness, monkeypatch):
+    """A loop whose outbound leg fails on every path adds nothing: it logs
+    ``new=0`` and leaves the point set, in order, as it was."""
+    var, slc, pts = cubic_witness
+    real_move, moves = witness.move_points, []
+
+    def sabotage(*args, **kwargs):
+        ends = real_move(*args, **kwargs)
+        moves.append(len(ends))
+        if len(moves) == 1:
+            ends = [replace(e, status=tracker.DIVERGED) for e in ends]
+        return ends
+
+    monkeypatch.setattr(witness, "move_points", sabotage)
+    monkeypatch.setattr(
+        witness, "run_trace_test", lambda *a, **k: witness.TraceResult(False, np.nan, True, "")
+    )
+    lines = []
+    grown, certified, loops = witness.monodromy_populate(
+        var, slc, pts, np.random.default_rng(5), budget=1, log=lines.append
+    )
+    assert lines[0] == f"loop=1 points={len(pts)} new=0 legs={len(pts)}"
+    assert grown.tobytes() == pts.tobytes()
+    assert (certified, loops) == (False, 1)
+
+
 def test_membership_residuals_flag_off_variety_points(cubic_witness):
     var, slc, pts = cubic_witness
     res = witness.membership_residuals(var, slc, pts)
@@ -844,3 +870,22 @@ def test_check_witness_reports_diagnostics(cubic_witness):
     assert report["max_membership_residual"] <= 1e-9
     assert report["min_image_distance"] > 1e-3
     assert report["certified"]
+
+
+# ---------------------------------------------------------------------------
+# the calibrated build
+# ---------------------------------------------------------------------------
+
+def test_build_witness_passes_the_grow_check_and_repeats_bitwise():
+    """Three loops from one seed point: every point lies on its slice, no two
+    images coincide, ``meta`` describes the set, and a second build with
+    the same seed gives the same bytes."""
+    pws = witness.build_witness("cal", seed=1, budget=3)
+    again = witness.build_witness("cal", seed=1, budget=3)
+    diag = witness.check_witness(pws)
+    assert diag["max_membership_residual"] <= witness.MEMBERSHIP_TOL
+    assert diag["min_image_distance"] > witness.DEDUP_TOL
+    assert pws.meta["loops"] == 3 and not pws.certified
+    assert pws.meta["degree"] == len(pws.points)
+    assert pws.points.tobytes() == again.points.tobytes()
+    assert pws.meta == again.meta
