@@ -113,14 +113,26 @@ def witness_content_hash(doc: dict) -> str:
 
 
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
-    """Return the cached degree when ``path`` already holds a valid build."""
+    """Return the cached degree when ``path`` already holds a valid build: a
+    file ``witness.witness_from_dict`` reads, whose ``meta.degree`` is its
+    number of points, certified, of ``cfg.locus`` and with a matching
+    content hash."""
     log = log or witness.quiet
+
+    def cached(doc):
+        pws = witness.witness_from_dict(doc)
+        degree = pws.meta["degree"]
+        if type(degree) is not int or degree != len(pws.points):
+            raise ValueError(f"meta.degree is {degree!r}, not the point count {len(pws.points)}")
+        return pws, witness_content_hash(doc)
+
     try:
-        meta, certified, digest = _load_json(path, _cache_fields)
+        pws, digest = _load_json(path, cached)
     except CliError:
         log(f"{path} is unreadable; rebuilding")
         return None
-    if meta.get("locus") != cfg.locus or not certified:
+    meta = pws.meta
+    if meta.get("locus") != cfg.locus or not pws.certified:
         return None
     if meta.get("content_hash") != digest:
         log(f"{path} failed its content-hash check; rebuilding")
@@ -128,16 +140,6 @@ def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
     if meta.get("build_seed") != cfg.seed:
         log(f"reusing {path} built with seed {meta.get('build_seed')}")
     return meta["degree"]
-
-
-def _cache_fields(doc: dict) -> tuple[dict, bool, str]:
-    """A witness document's meta, certified flag and content hash; KeyError,
-    TypeError or ValueError when one of them or ``meta.degree`` is
-    malformed."""
-    meta = doc["meta"]
-    if type(meta["degree"]) is not int:
-        raise ValueError(f"meta.degree is {meta['degree']!r}, not an integer")
-    return meta, witness.certified_flag(doc), witness_content_hash(doc)
 
 
 def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:
@@ -215,14 +217,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     instance = None
     if cfg.instance_path:
         w, _, instance = _load_json(cfg.instance_path, slices.instance_from_dict)
-        if cfg.problem and tuple(cfg.problem) != w.as_tuple():
-            raise CliError(
-                f"--problem {cfg.problem} does not match the stored instance's {w.as_tuple()}"
-            )
-    elif cfg.problem:
-        w = slices.ProblemWeights(*cfg.problem)
     else:
-        raise CliError("either --problem or --instance is required")
+        w = slices.ProblemWeights(*cfg.problem)
     out = _output_path(cfg, "solution_" + "".join(map(str, w.as_tuple())) + f"_seed{cfg.seed}.json")
     pws = _load_json(cfg.witness_path, witness.witness_from_dict)
     try:
@@ -245,27 +241,24 @@ def cmd_table(cfg: RunConfig) -> int:
     log = _logger(cfg)
     out = _output_path(cfg, None)
     pws = _load_json(cfg.witness_path, witness.witness_from_dict)
-    problems = slices.enumerate_problems()
-    if cfg.rows is not None:
-        problems = problems[: cfg.rows]
+    problems = slices.enumerate_problems()[: cfg.rows]
     expected = slices.expected_degrees()
     lines = ["w1\tw2\tw3\tw4\tw5\tdegree\texpected\tmatch"]
     all_ok = True
     for idx, w in enumerate(problems, start=1):
         exp = expected[w.as_tuple()]
-        cols = [str(x) for x in w.as_tuple()]
         try:
             run = pipeline.solve_problem(
                 pws, w, cfg.seed, cfg.tracker_config(), max_attempts=cfg.max_attempts
             )
-            ok = run.degree == exp
-            lines.append("\t".join(cols + [str(run.degree), str(exp), "yes" if ok else "no"]))
-            log(f"[{idx}/{len(problems)}] {w.as_tuple()} -> {run.degree} (expected {exp})")
+            degree = run.degree
+            log(f"[{idx}/{len(problems)}] {w.as_tuple()} -> {degree} (expected {exp})")
         except pipeline.PipelineError as err:
-            ok = False
-            lines.append("\t".join(cols + ["error", str(exp), "no"]))
+            degree = "error"
             log(f"[{idx}/{len(problems)}] {w.as_tuple()} failed: {err}")
-        all_ok = all_ok and ok
+        ok = degree == exp
+        lines.append("\t".join(map(str, (*w.as_tuple(), degree, exp, "yes" if ok else "no"))))
+        all_ok &= ok
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out:
@@ -281,25 +274,21 @@ def cmd_table(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _solution_records(doc: dict) -> list[pipeline.SolutionRecord]:
+    """The records of a solution document: the ``params`` of each of its
+    ``solutions`` (what ``solve`` writes), or else the one camera pair of a
+    top-level ``camera_matrices`` (the published reference solution)."""
     if "solutions" in doc:
-        entries = doc["solutions"]
-    elif "camera_matrices" in doc:
-        entries = [doc]
-    else:
-        raise ValueError("neither 'solutions' nor 'camera_matrices'")
-    records = []
-    for entry in entries:
-        if "params" in entry:
-            records.append(pipeline.record_from_params(jsonio.from_pairs(entry["params"])))
-        else:
-            cams = entry["camera_matrices"]
-            records.append(
-                pipeline.record_from_cameras(
-                    jsonio.from_pairs(cams["B"]).reshape(3, 4),
-                    jsonio.from_pairs(cams["C"]).reshape(3, 4),
-                )
-            )
-    return records
+        return [
+            pipeline.record_from_params(jsonio.from_pairs(entry["params"]))
+            for entry in doc["solutions"]
+        ]
+    cams = doc["camera_matrices"]
+    return [
+        pipeline.record_from_cameras(
+            jsonio.from_pairs(cams["B"]).reshape(3, 4),
+            jsonio.from_pairs(cams["C"]).reshape(3, 4),
+        )
+    ]
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -396,9 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[log, tracking, out], help="solve one minimal problem")
     p.add_argument("--witness", dest="witness_path", required=True)
-    p.add_argument("--problem", type=_problem_arg, help="comma-separated weights, e.g. 1,4,0,0,0")
-    p.add_argument("--instance", dest="instance_path",
-                   help="solve this stored instance instead of a random one")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--problem", type=_problem_arg,
+                        help="comma-separated weights, e.g. 1,4,0,0,0")
+    source.add_argument("--instance", dest="instance_path",
+                        help="solve this stored instance instead of a random one")
     p.add_argument("--max-attempts", type=_at_least(1))
 
     p = sub.add_parser("table", parents=[log, tracking, out],

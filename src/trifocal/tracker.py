@@ -301,15 +301,16 @@ def _track(
     hom: TwoSystemHomotopy,
     starts: np.ndarray,
     cfg: TrackerConfig,
-    base: np.ndarray | None = None,
-    span: np.ndarray | None = None,
+    base: np.ndarray | float = 0.0,
+    span: np.ndarray | float = 1.0,
     refine_iters: int = _ENDPOINT_ITERS,
 ) -> _Legs:
     """Advance every row from path time t = 1 to t = 0 in lockstep.
 
     Row i sits at homotopy parameter s = base[i] + t * span[i], a straight
-    segment of the complex s-plane; with ``base``/``span`` omitted that is
-    s = t, the ordinary run from s = 1 to s = 0.  Rows that arrive are
+    segment of the complex s-plane (a scalar ``base`` or ``span`` holds for
+    every row); the defaults give s = 0 + t * 1, which is t exactly: the
+    ordinary run from s = 1 to s = 0.  Rows that arrive are
     Newton-refined at t = 0 and succeed when they pass the backward-error
     test ``_backward_ok`` at ``ENDPOINT_TOL``.  The run also keeps, per
     row, the first accepted point with t <= ``ENDGAME_ZONE`` and its t
@@ -319,9 +320,10 @@ def _track(
     """
     z = np.array(starts, dtype=complex)
     nb = z.shape[0]
+    base, span = np.broadcast_to(base, nb), np.broadcast_to(span, nb)
 
     def s_at(rows, tt):
-        return tt if base is None else base[rows] + tt * span[rows]
+        return base[rows] + tt * span[rows]
 
     t = np.ones(nb)
     h = np.full(nb, cfg.initial_step)
@@ -340,7 +342,7 @@ def _track(
         hcur = np.minimum(h[act], t[act])
         h[act] = hcur  # halving a rejected clipped step must shrink the retry
         tnew = t[act] - hcur
-        ds = -hcur if span is None else -hcur * span[act]
+        ds = -hcur * span[act]
 
         zp, pred_ok = _rk4_predict(hom, z[act], s_at(act, t[act]), ds)
         zc, iters, solvefail = _correct(hom, zp, s_at(act, tnew), cfg.newton_tol)

@@ -807,17 +807,10 @@ def witness_to_dict(pws: PseudoWitnessSet) -> dict:
     }
 
 
-def certified_flag(doc: dict) -> bool:
-    """A witness document's ``certified`` field; ValueError unless a JSON boolean."""
-    flag = doc["certified"]
-    if type(flag) is not bool:
-        raise ValueError(f"certified is {flag!r}, not a boolean")
-    return flag
-
-
 def witness_from_dict(doc: dict) -> PseudoWitnessSet:
     """The witness set of a document; KeyError, TypeError or ValueError when
-    a field is missing or malformed (points not an (n, 13) array, say)."""
+    a field is missing or malformed (points not an (n, 13) array, or
+    ``certified`` not a JSON boolean, say)."""
     meta = dict(doc["meta"])
     chart = jsonio.from_pairs(meta.pop("chart"))
     alpha = jsonio.from_pairs(doc["patches"]["alpha"])
@@ -829,12 +822,15 @@ def witness_from_dict(doc: dict) -> PseudoWitnessSet:
     points = jsonio.from_pairs(doc["points"])
     if points.shape not in ((0,), (len(points), var.param_dim)):
         raise ValueError(f"points have shape {points.shape}, not (n, {var.param_dim})")
+    certified = doc["certified"]
+    if type(certified) is not bool:
+        raise ValueError(f"certified is {certified!r}, not a boolean")
     return PseudoWitnessSet(
         variety=var,
         patches={"alpha": alpha, "beta": beta},
         slc=slc,
         points=points.reshape(-1, var.param_dim),
-        certified=certified_flag(doc),
+        certified=certified,
         meta=meta,
     )
 

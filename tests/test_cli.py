@@ -741,3 +741,102 @@ def test_table_lists_each_row_and_fails_on_an_error(tmp_path, capsys, monkeypatc
     text = out.read_text()
     assert text.startswith("# run_config: ")
     assert text.splitlines()[1:] == table
+
+
+# ---------------------------------------------------------------------------
+# one code path per input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fault", ["coordinates", "points"])
+def test_cached_witness_with_malformed_points_is_rebuilt(tmp_path, fault):
+    """Points cut to 12 coordinates are not an (n, 13) array; 3 of 13 points
+    no longer match ``meta.degree``: either way the file is not reused."""
+    out = tmp_path / "w.json"
+    doc = make_fake_witness(out, n_points=13)
+    if fault == "coordinates":
+        doc["points"] = [p[:12] for p in doc["points"]]
+    else:
+        doc["points"] = doc["points"][:3]
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    said = []
+    cfg = cli.RunConfig(command="witness")
+    assert cli._reusable_witness(out, cfg, said.append) is None
+    assert said == [f"{out} is unreadable; rebuilding"]
+
+
+@pytest.mark.parametrize("sources", ["neither", "both"])
+def test_solve_takes_exactly_one_problem_source(tmp_path, capsys, monkeypatch, sources):
+    solves = _counted_solves(monkeypatch)
+    witness_file = tmp_path / "w.json"
+    make_fake_witness(witness_file)
+    given = {
+        "neither": [],
+        "both": ["--problem", "1,4,0,0,0", "--instance", str(data_path("reference_instance.json"))],
+    }[sources]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--witness", str(witness_file), *given,
+                  "--out", str(tmp_path / "sol.json"), "--log", "quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--problem" in err and "--instance" in err
+    assert solves == []
+    assert not (tmp_path / "sol.json").exists()
+
+
+def test_solution_entry_without_params_is_malformed(tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    make_solution_file(sol)
+    doc = json.loads(sol.read_text())
+    del doc["solutions"][0]["params"]
+    doc["solutions"][0]["camera_matrices"] = json.loads(
+        data_path("reference_solution.json").read_text()
+    )["camera_matrices"]
+    sol.write_text(json.dumps(doc))
+    rc = cli.main(["verify", "--solution", str(sol), "--log", "quiet"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {sol}: malformed (")
+    assert "params" in lines[0]
+
+
+def test_trace_test_reports_an_inconclusive_run(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "w.json"
+    make_fake_witness(out)
+    monkeypatch.setattr(
+        witness, "trace_test",
+        lambda pws, **kw: witness.TraceResult(False, float("inf"), True, "1 path(s) failed"),
+    )
+    rc = cli.main(["trace-test", "--witness", str(out)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == "deviation=inf passed=False\n"
+    assert captured.err == "[trifocal] inconclusive: 1 path(s) failed\n"
+
+
+def test_witness_reuses_a_cache_built_with_another_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(witness, "build_witness", _no_work)
+    out = tmp_path / "w.json"
+    make_fake_witness(out, n_points=7)  # built with seed 0
+    rc = cli.main(["witness", "--seed", "5", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == "7\n"
+    assert captured.err == f"[trifocal] reusing {out} built with seed 0\n"
+
+
+def test_witness_command_saves_a_certified_build(tmp_path, capsys, monkeypatch):
+    built = tmp_path / "built.json"
+    make_fake_witness(built, n_points=5)
+    monkeypatch.setattr(witness, "build_witness", lambda *a, **k: witness.load_witness(built))
+    out = tmp_path / "w.json"
+    rc = cli.main(["witness", "--seed", "3", "--budget", "1", "--out", str(out)])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert captured.out == "5\n"
+    assert captured.err.splitlines() == [
+        "[trifocal] building cal witness set (seed=3, budget=1)",
+        f"[trifocal] certified witness set saved to {out}",
+    ]
+    doc = json.loads(out.read_text())
+    assert doc["certified"] is True
+    assert doc["meta"]["content_hash"] == cli.witness_content_hash(doc)

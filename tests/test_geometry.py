@@ -464,3 +464,22 @@ def test_consistency_check_identical_centers():
     corr = slices.random_instance(slices.ProblemWeights(0, 0, 0, 0, 11), seed=9)[0]
     with pytest.raises(geometry.UndefinedEpipoleError):
         geometry.consistency_check(a, a, a, corr)
+
+
+def test_epipoles_clear_is_false_for_cameras_sharing_a_center():
+    """[I|0] and [R|0] share the origin as center, so their epipoles are
+    undefined and no correspondence can be checked against them."""
+    r = geometry.quaternion_rotation(np.array([0.9, 0.3, -0.2, 0.1]) / np.sqrt(0.95))
+    t = np.array([[0.4], [-1.0], [0.7]])
+    cams = np.array([
+        np.hstack([np.eye(3), np.zeros((3, 1))]),
+        np.hstack([r, np.zeros((3, 1))]),
+        np.hstack([r.T, t]),
+    ], dtype=complex)
+    _, _, instance = slices.load_instance(
+        resources.files("trifocal.data").joinpath("reference_instance.json")
+    )
+    stack = geometry.CorrespondenceStack.of(instance)
+    with pytest.raises(geometry.UndefinedEpipoleError):
+        geometry.all_epipoles(*cams)
+    assert not geometry.epipoles_clear(cams, geometry.camera_centers(cams), stack)

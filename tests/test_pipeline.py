@@ -575,3 +575,27 @@ def test_solve_instance_with_no_surviving_endpoint(monkeypatch):
     assert records == []
     assert report.verdicts == ("path-failed", "outside-special", "outside-special")
     assert report.stage_counts == (2, 0, 0, 0, 0, 0, 0)
+
+
+def test_solve_instance_refuses_a_move_that_loses_too_many_paths(monkeypatch):
+    """2 failed paths of 100 exceed the 1 % budget: the solve raises a
+    ReliabilityError, before any endpoint is screened, so that the caller
+    re-randomizes and retries."""
+    _, _, instance = slices.load_instance(
+        resources.files("trifocal.data").joinpath("reference_instance.json")
+    )
+
+    def endpoint(status):
+        return tracker.TrackedEndpoint(
+            point=np.ones(13, dtype=complex), status=status, residual=1e-15, contraction=0.0,
+            steps=1, winding=1 if status == tracker.SUCCESS else 0,
+        )
+
+    endpoints = [endpoint(tracker.SUCCESS)] * 98 + [endpoint(tracker.DIVERGED)] * 2
+    monkeypatch.setattr(witness, "move_to_slice", lambda pws, target, cfg=None: endpoints)
+    screened = _counting(monkeypatch, pipeline, "_screen")
+    stand_in = types.SimpleNamespace(certified=True)
+    with pytest.raises(pipeline.ReliabilityError) as exc:
+        pipeline.solve_instance(stand_in, instance)
+    assert str(exc.value) == "2/100 paths failed (> 1%); re-run with a fresh randomization seed"
+    assert screened == []

@@ -541,6 +541,25 @@ def test_trace_rescue_rejects_endpoint_collision(cubic_witness, monkeypatch):
     assert "collides" in res.detail
 
 
+def test_trace_rescue_refuses_a_long_polish(cubic_witness, monkeypatch):
+    # Newton from 1e-3 off an endpoint converges back to it, but a correction
+    # beyond RESCUE_STEP is a jump, not a stray step: the path stays failed
+    # and the leg is inconclusive without rng to rerun it
+    var, slc, pts = cubic_witness
+    real_move = witness.move_points
+
+    def sabotage(*args, **kwargs):
+        ends = real_move(*args, **kwargs)
+        e = ends[1]
+        ends[1] = tracker.TrackedEndpoint(e.point + 1e-3, "singular", 1e-7, 1.3, e.steps)
+        return ends
+
+    monkeypatch.setattr(witness, "move_points", sabotage)
+    res = witness.run_trace_test(var, slc, pts)
+    assert not res.passed and res.inconclusive
+    assert res.detail == "1 path(s) failed at s=+1 (singular=1)"
+
+
 def test_trace_test_wrapper_matches_run(cubic_witness):
     var, slc, pts = cubic_witness
     pws = witness.PseudoWitnessSet(
