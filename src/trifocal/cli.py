@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import hashlib
 import json
 import math
 import sys
@@ -105,11 +104,7 @@ class CliError(RuntimeError):
 # witness files and caching
 # ---------------------------------------------------------------------------
 
-def witness_content_hash(doc: dict) -> str:
-    """Hash of the slice-defining content (patches + slice), key-order free."""
-    core = {k: doc[k] for k in ("patches", "slice_rows", "slice_constants")}
-    blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+witness_content_hash = witness.content_hash
 
 
 def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
@@ -143,9 +138,8 @@ def _reusable_witness(path: Path, cfg: RunConfig, log) -> int | None:
 
 
 def _write_witness(path, pws: witness.PseudoWitnessSet, cfg: RunConfig) -> None:
-    """Stamp the content hash and the run configuration, then write."""
+    """Stamp the run configuration, then write."""
     doc = witness.witness_to_dict(pws)
-    doc["meta"]["content_hash"] = witness_content_hash(doc)
     doc["meta"]["run_config"] = cfg.to_dict()
     with _os_errors(path):
         jsonio.dump_json(path, doc)
@@ -221,12 +215,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         w = slices.ProblemWeights(*cfg.problem)
     out = _output_path(cfg, "solution_" + "".join(map(str, w.as_tuple())) + f"_seed{cfg.seed}.json")
     pws = _load_json(cfg.witness_path, witness.witness_from_dict)
-    try:
-        run = pipeline.solve_problem(
-            pws, w, cfg.seed, cfg.tracker_config(), max_attempts=cfg.max_attempts, instance=instance
-        )
-    except pipeline.PipelineError as err:
-        raise CliError(str(err))
+    run = pipeline.solve_problem(
+        pws, w, cfg.seed, cfg.tracker_config(), max_attempts=cfg.max_attempts, instance=instance
+    )
     print(f"degree={run.degree}")
     print(run.report.summary())
     print(pipeline.table_row(run))
@@ -305,7 +296,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif instance is None:
         raise CliError(f"{cfg.solution_path}: embeds no instance, and no --instance was given")
     stack = geometry.CorrespondenceStack.of(instance)
-    checks = ("physical", "independent_centers", "multiview", "epipole_clear")
+    # the stages verify_solution re-runs, physical through epipole_clear
+    checks = pipeline.STAGES[2:-1]
     tallies = {name: 0 for name in checks}
     passed = 0
     for i, rec in enumerate(records):
@@ -430,7 +422,7 @@ def main(argv=None) -> int:
     cfg = config_from_args(args)
     try:
         return _COMMANDS[cfg.command](cfg)
-    except (CliError, witness.WitnessError) as err:
+    except (CliError, pipeline.PipelineError, witness.WitnessError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

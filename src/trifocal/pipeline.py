@@ -29,26 +29,18 @@ SOLUTION_DEDUP_TOL = 1e-6
 REAL_TOL = 1e-6
 PATH_FAILURE_BUDGET = 0.01
 
-STAGES = (
-    "finite",
-    "special",
-    "physical",
-    "independent_centers",
-    "multiview",
-    "epipole_clear",
-    "distinct",
-)
-
-VERDICTS = (
-    "path-failed",
-    "outside-special",
-    "nonphysical",
-    "dependent-centers",
-    "multiview-fail",
-    "epipole-hit",
-    "duplicate",
-    "solution",
-)
+# the filter stages in order, each with the verdict of an endpoint it stops
+FAILURE_VERDICT = {
+    "finite": "path-failed",
+    "special": "outside-special",
+    "physical": "nonphysical",
+    "independent_centers": "dependent-centers",
+    "multiview": "multiview-fail",
+    "epipole_clear": "epipole-hit",
+    "distinct": "duplicate",
+}
+STAGES = tuple(FAILURE_VERDICT)
+VERDICTS = (*FAILURE_VERDICT.values(), "solution")
 
 
 class PipelineError(RuntimeError):
@@ -212,13 +204,13 @@ def _screen(point, norm_rows, instance) -> tuple[str, float]:
     fails, or ``"solution"``, and its membership residual."""
     rel = _membership(point, norm_rows)
     if not rel <= MEMBERSHIP_RTOL:
-        return "outside-special", rel
+        return FAILURE_VERDICT["special"], rel
     if not _physicality(point):
-        return "nonphysical", rel
+        return FAILURE_VERDICT["physical"], rel
     cams = geometry.CalibratedConfiguration.from_params(point).cameras()
     for stage, passed in _stage_checks(cams, instance):
         if not passed:
-            return VERDICTS[STAGES.index(stage)], rel
+            return FAILURE_VERDICT[stage], rel
     return "solution", rel
 
 
@@ -240,9 +232,10 @@ def solve_instance(
     re-randomize and retry.  A degenerate instance raises
     ``slices.DegenerateInstanceError``.
 
-    Each endpoint's verdict names the first stage it fails (``VERDICTS``
-    lists them in stage order), so the count that survives stage k is the
-    number of verdicts after ``VERDICTS[k]``.
+    Each endpoint's verdict is the ``FAILURE_VERDICT`` of the first stage
+    it fails, or ``"solution"`` (``VERDICTS`` lists them in stage order),
+    so the count that survives stage k is the number of verdicts after
+    ``VERDICTS[k]``.
     """
     if not pws.certified:
         raise PipelineError("instance solving requires a certified witness set")
@@ -266,7 +259,7 @@ def solve_instance(
     norm_rows = special.rows / row_norms[:, None]
     stack = geometry.CorrespondenceStack.of(instance)
     screened = [
-        _screen(e.point, norm_rows, stack) if e.finite else ("path-failed", None)
+        _screen(e.point, norm_rows, stack) if e.finite else (FAILURE_VERDICT["finite"], None)
         for e in endpoints
     ]
     verdicts = np.array([v for v, _ in screened], dtype=object)
@@ -274,7 +267,7 @@ def solve_instance(
     # stage 6: distinct configurations, the first in index order wins
     found = np.flatnonzero(verdicts == "solution")
     found_points = np.reshape([endpoints[i].point for i in found], (found.size, 13))
-    verdicts[found[~_dedup_mask(found_points, SOLUTION_DEDUP_TOL)]] = "duplicate"
+    verdicts[found[~_dedup_mask(found_points, SOLUTION_DEDUP_TOL)]] = FAILURE_VERDICT["distinct"]
 
     records = [
         replace(

@@ -2,14 +2,16 @@
 
 Each point/line correspondence across three views imposes linear conditions
 on the 27 trifocal tensor coordinates (1 row for PLL, 3 of rank 2 for
-PPL/PLP/LLL, 9 of rank 4 for PPP). A minimal problem is a count vector
-(w1..w5) of the five kinds satisfying 3w1 + 2w2 + 2w3 + 2w4 + w5 = 11 with
-w2 >= w3; there are exactly 66, and stacking one instance's rows cuts a
-subspace of codimension 11 + w1.
+PPL/PLP/LLL, 9 of rank 4 for PPP; ``KIND_TABLE``). A minimal problem is a
+count vector (w1..w5) of the five kinds satisfying 3w1 + 2w2 + 2w3 + 2w4 +
+w5 = 11 with w2 >= w3; there are exactly 66, and stacking one instance's
+rows cuts a subspace of codimension 11 + w1.
 """
 from __future__ import annotations
 
+import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,8 +20,24 @@ import numpy as np
 
 from . import geometry, jsonio, numlin, seeds
 
-KINDS = ("PPP", "PPL", "PLP", "LLL", "PLL")
+# What one correspondence of each kind contributes: the einsum of its
+# constraint rows (a two-index operand is the skew matrix of that vector),
+# their rank on tensor space, and the conditions it puts on the variety.
+Kind = namedtuple("Kind", "einsum rank conditions")
+KIND_TABLE = {
+    "PPP": Kind("i,mj,kn->mnijk", 4, 3),
+    "PPL": Kind("i,mj,k->mijk", 2, 2),
+    "PLP": Kind("i,j,mk->mijk", 2, 2),
+    "LLL": Kind("mi,j,k->mijk", 2, 2),
+    "PLL": Kind("i,j,k->ijk", 1, 1),
+}
+KINDS = tuple(KIND_TABLE)
 RESAMPLE_BUDGET = 100
+
+
+def _weighted(counts, column: str) -> int:
+    """Σ count × that kind's ``column`` in ``KIND_TABLE``, in catalog order."""
+    return sum(n * getattr(kind, column) for n, kind in zip(counts, KIND_TABLE.values()))
 
 
 class DegenerateInstanceError(ValueError):
@@ -59,7 +77,7 @@ class ProblemWeights:
         w = self.as_tuple()
         if any(x < 0 for x in w):
             raise ValueError("weights must be nonnegative")
-        if 3 * w[0] + 2 * (w[1] + w[2] + w[3]) + w[4] != 11:
+        if _weighted(w, "conditions") != 11:
             raise ValueError(f"{w} does not satisfy 3w1+2w2+2w3+2w4+w5 = 11")
         if w[1] < w[2]:
             raise ValueError(f"{w} violates w2 >= w3")
@@ -72,7 +90,7 @@ class ProblemWeights:
 
     @property
     def codimension(self) -> int:
-        return 11 + self.w1
+        return _weighted(self.as_tuple(), "rank")
 
 
 @dataclass(frozen=True)
@@ -85,16 +103,12 @@ class LinearSlice:
 
 def enumerate_problems() -> list[ProblemWeights]:
     """All 66 minimal problems, in descending lexicographic order."""
-    found = []
-    for w1 in range(3, -1, -1):
-        for w2 in range(5, -1, -1):
-            for w3 in range(w2, -1, -1):
-                for w4 in range(5, -1, -1):
-                    rest = 11 - 3 * w1 - 2 * (w2 + w3 + w4)
-                    if rest >= 0:
-                        found.append(ProblemWeights(w1, w2, w3, w4, rest))
-    found.sort(key=lambda p: p.as_tuple(), reverse=True)
-    return found
+    counts = [range(11 // kind.conditions, -1, -1) for kind in KIND_TABLE.values()]
+    return [
+        ProblemWeights(*w)
+        for w in itertools.product(*counts)
+        if _weighted(w, "conditions") == 11 and w[1] >= w[2]
+    ]
 
 
 def expected_degrees() -> dict[tuple[int, ...], int]:
@@ -110,34 +124,22 @@ def constraint_rows(c: Correspondence) -> np.ndarray:
     Row coefficient layout matches the row-major tensor flattening
     (index 9i + 3j + k).
     """
-    v0, v1, v2 = c.vectors
-    if c.kind == "PLL":
-        rows = np.einsum("i,j,k->ijk", v0, v1, v2).reshape(1, 27)
-    elif c.kind == "LLL":
-        rows = np.einsum("mi,j,k->mijk", numlin.skew_matrix(v0), v1, v2).reshape(3, 27)
-    elif c.kind == "PLP":
-        rows = np.einsum("i,j,mk->mijk", v0, v1, numlin.skew_matrix(v2)).reshape(3, 27)
-    elif c.kind == "PPL":
-        rows = np.einsum("i,mj,k->mijk", v0, numlin.skew_matrix(v1), v2).reshape(3, 27)
-    elif c.kind == "PPP":
-        rows = np.einsum(
-            "i,mj,kn->mnijk", v0, numlin.skew_matrix(v1), numlin.skew_matrix(v2)
-        ).reshape(9, 27)
-    else:  # pragma: no cover
-        raise ValueError(c.kind)
-    return rows
+    subscripts = KIND_TABLE[c.kind].einsum
+    operands = [
+        numlin.skew_matrix(v) if len(sub) == 2 else v
+        for sub, v in zip(subscripts.split("->")[0].split(","), c.vectors)
+    ]
+    return np.einsum(subscripts, *operands).reshape(-1, 27)
 
 
 def assemble_special_slice(instance: list[Correspondence]) -> LinearSlice:
     """Stack all constraint rows and verify the expected codimension.
 
-    Codimension must equal the sum of per-kind rank contributions
-    (4 per PPP, 2 per PPL/PLP/LLL, 1 per PLL), which is 11 + w1 for a
-    minimal problem; degenerate (e.g. duplicated) data raises
-    DegenerateInstanceError.
+    Codimension must equal the sum of per-kind ranks (``KIND_TABLE``),
+    which is 11 + w1 for a minimal problem; degenerate (e.g. duplicated)
+    data raises DegenerateInstanceError.
     """
-    per_kind_rank = {"PPP": 4, "PPL": 2, "PLP": 2, "LLL": 2, "PLL": 1}
-    expected = sum(per_kind_rank[corr.kind] for corr in instance)
+    expected = sum(KIND_TABLE[corr.kind].rank for corr in instance)
     stacked = np.vstack([constraint_rows(corr) for corr in instance])
     rank = numlin.numerical_rank(stacked)
     if rank != expected:

@@ -13,6 +13,8 @@ oracles through the identical code paths.
 """
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -710,11 +712,10 @@ def monodromy_populate(
             )
             if result.passed:
                 return pts, True, loop
-            if not result.inconclusive:
-                # A finite bend means points are genuinely missing: hold off
-                # until a loop grows the set.  Path failures, by contrast,
-                # are retried on the next stagnant loop with fresh phases.
-                stable_since_trace = False
+            # A finite bend means points are genuinely missing: hold off
+            # until a loop grows the set.  Path failures, by contrast, are
+            # retried on the next stagnant loop with fresh phases.
+            stable_since_trace = result.inconclusive
     return pts, False, budget
 
 
@@ -792,19 +793,27 @@ def check_witness(pws: PseudoWitnessSet) -> dict:
 # persistence
 # ---------------------------------------------------------------------------
 
+def content_hash(doc: dict) -> str:
+    """Hash of a witness document's patches and slice, key-order free."""
+    core = {k: doc[k] for k in ("patches", "slice_rows", "slice_constants")}
+    blob = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def witness_to_dict(pws: PseudoWitnessSet) -> dict:
+    """The witness set's document, its ``meta.content_hash`` stamped."""
     if pws.variety.chart is None:
         raise WitnessError("persistence is defined for chart-bearing varieties only")
-    meta = dict(pws.meta)
-    meta["chart"] = jsonio.to_pairs(pws.variety.chart)
-    return {
+    doc = {
         "patches": {k: jsonio.to_pairs(v) for k, v in pws.patches.items()},
         "slice_rows": jsonio.to_pairs(pws.slc.rows),
         "slice_constants": jsonio.to_pairs(pws.slc.constants),
         "points": jsonio.to_pairs(pws.points),
         "certified": bool(pws.certified),
-        "meta": meta,
+        "meta": dict(pws.meta, chart=jsonio.to_pairs(pws.variety.chart)),
     }
+    doc["meta"]["content_hash"] = content_hash(doc)
+    return doc
 
 
 def witness_from_dict(doc: dict) -> PseudoWitnessSet:

@@ -840,3 +840,19 @@ def test_witness_command_saves_a_certified_build(tmp_path, capsys, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["certified"] is True
     assert doc["meta"]["content_hash"] == cli.witness_content_hash(doc)
+
+
+def test_witness_saved_from_python_is_reused(tmp_path):
+    """A certified set written by ``witness.save_witness``, from a meta with
+    no content hash, passes the cache's hash check as it stands."""
+    built = tmp_path / "built.json"
+    make_fake_witness(built, n_points=7)
+    pws = witness.load_witness(built)
+    del pws.meta["content_hash"]
+    out = tmp_path / "w.json"
+    witness.save_witness(out, pws)
+    said = []
+    cfg = cli.RunConfig(command="witness")
+    assert cli._reusable_witness(out, cfg, said.append) == 7
+    assert said == []
+

@@ -483,3 +483,28 @@ def test_epipoles_clear_is_false_for_cameras_sharing_a_center():
     with pytest.raises(geometry.UndefinedEpipoleError):
         geometry.all_epipoles(*cams)
     assert not geometry.epipoles_clear(cams, geometry.camera_centers(cams), stack)
+
+
+# --- validation that no other test reaches ----------------------------------
+
+@pytest.mark.parametrize(
+    "cams",
+    [
+        [np.eye(3, 4), np.eye(2, 4)],  # cameras of different shapes
+        [np.eye(3)],  # one camera that is not 3x4
+    ],
+)
+def test_camera_centers_reject_a_camera_that_is_not_3x4(cams):
+    with pytest.raises(geometry.DegenerateCameraError):
+        geometry.camera_centers(cams)
+
+
+def test_quaternion_from_rotation_rejects_a_matrix_that_is_not_3x3():
+    with pytest.raises(ValueError, match="expected 3x3"):
+        geometry.quaternion_from_rotation(np.eye(4))
+
+
+def test_configuration_rejects_an_unnormalized_second_translation():
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="normalized"):
+        geometry.CalibratedConfiguration(q2=q, q3=q, t2=(0, 0, 2), t3=(0, 0, 1))

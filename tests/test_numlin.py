@@ -339,3 +339,8 @@ def test_projective_distance():
     assert numlin.projective_distance(v, 1j * v) == pytest.approx(0.0, abs=1e-8)
     assert numlin.projective_distance(v, w) > 1e-2
     assert numlin.projective_distance(v, w) == pytest.approx(numlin.projective_distance(w, v))
+
+
+def test_projective_distance_rejects_a_zero_vector():
+    with pytest.raises(numlin.NumericalError):
+        numlin.projective_distance(np.zeros(3), np.ones(3))

@@ -599,3 +599,13 @@ def test_solve_instance_refuses_a_move_that_loses_too_many_paths(monkeypatch):
         pipeline.solve_instance(stand_in, instance)
     assert str(exc.value) == "2/100 paths failed (> 1%); re-run with a fresh randomization seed"
     assert screened == []
+
+
+def test_filter_report_requires_one_count_per_stage():
+    with pytest.raises(ValueError, match="one count per stage"):
+        pipeline.FilterReport(total_paths=6, stage_counts=(6,) * 6, verdicts=())
+
+
+def test_real_normal_form_rejects_a_zero_quaternion():
+    with pytest.raises(pipeline.PipelineError, match="zero quaternion"):
+        pipeline.real_normal_form(np.zeros(13))

@@ -1,4 +1,5 @@
 """Tests for problem enumeration, constraint rows, and instance handling."""
+import itertools
 import json
 from importlib import resources
 
@@ -332,3 +333,60 @@ def test_special_slice_contains_randomization(weights):
     sl = slices.assemble_special_slice(slices.random_instance(w, seed=68))
     rand = slices.randomize_slice(sl, rng)
     assert numlin.numerical_rank(np.vstack([sl.rows, rand.rows])) == sl.rank
+
+
+# --- validation that no other test reaches ----------------------------------
+
+def test_correspondence_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown correspondence kind"):
+        slices.Correspondence("PXP", (np.ones(3),) * 3)
+
+
+def test_weights_must_be_nonnegative():
+    # -3 + 14 = 11, so only the sign is wrong
+    with pytest.raises(ValueError, match="nonnegative"):
+        slices.ProblemWeights(-1, 7, 0, 0, 0)
+
+
+def test_randomize_slice_rejects_a_codimension_short_of_eleven():
+    short = slices.LinearSlice(rows=np.eye(10, 27, dtype=complex), rank=10)
+    with pytest.raises(slices.DegenerateInstanceError, match="codimension 10"):
+        slices.randomize_slice(short, np.random.default_rng(0))
+
+
+# --- the per-kind table against the numbers written out ---------------------
+
+def _written_out_rows(kind, v0, v1, v2):
+    """Each kind's constraint rows, one einsum per kind."""
+    skew = numlin.skew_matrix
+    if kind == "PLL":
+        return np.einsum("i,j,k->ijk", v0, v1, v2).reshape(1, 27)
+    if kind == "LLL":
+        return np.einsum("mi,j,k->mijk", skew(v0), v1, v2).reshape(3, 27)
+    if kind == "PLP":
+        return np.einsum("i,j,mk->mijk", v0, v1, skew(v2)).reshape(3, 27)
+    if kind == "PPL":
+        return np.einsum("i,mj,k->mijk", v0, skew(v1), v2).reshape(3, 27)
+    return np.einsum("i,mj,kn->mnijk", v0, skew(v1), skew(v2)).reshape(9, 27)
+
+
+@pytest.mark.parametrize("kind", slices.KINDS)
+def test_constraint_rows_equal_the_written_out_einsums_bit_for_bit(kind):
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        vecs = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        corr = slices.Correspondence(kind, tuple(vecs))
+        rows = slices.constraint_rows(corr)
+        expected = _written_out_rows(kind, *corr.vectors)
+        assert rows.shape == expected.shape
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_enumerate_problems_is_the_brute_force_catalog():
+    brute = [
+        w
+        for w in itertools.product(range(11, -1, -1), repeat=5)
+        if 3 * w[0] + 2 * (w[1] + w[2] + w[3]) + w[4] == 11 and w[1] >= w[2]
+    ]
+    assert [w.as_tuple() for w in slices.enumerate_problems()] == brute
+

@@ -416,3 +416,16 @@ def test_stall_with_wrong_finite_jacobian_is_step_limit():
     assert end.status == tracker.STEP_LIMIT
     assert end.final_s == 1.0
     assert end.steps == 29
+
+
+def test_tracker_config_rejects_a_negative_width():
+    with pytest.raises(ValueError, match="width"):
+        tracker.TrackerConfig(width=-1)
+
+
+def test_two_system_homotopy_rejects_systems_of_different_dimensions():
+    def system(n):
+        return tracker.SquareSystem(n, lambda z: z, lambda z: np.eye(n, dtype=complex))
+
+    with pytest.raises(ValueError, match="different dimensions"):
+        tracker.TwoSystemHomotopy(system(2), system(3))

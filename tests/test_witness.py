@@ -908,3 +908,8 @@ def test_build_witness_passes_the_grow_check_and_repeats_bitwise():
     assert pws.meta["degree"] == len(pws.points)
     assert pws.points.tobytes() == again.points.tobytes()
     assert pws.meta == again.meta
+
+
+def test_bundled_witness_of_an_unshipped_locus_is_an_error():
+    with pytest.raises(witness.WitnessError, match="no bundled witness"):
+        witness.bundled_witness("01")
